@@ -229,7 +229,7 @@ const LOCK_METHODS: &[&str] = &["lock", "read", "write", "lock_shard", "upgradab
 
 /// Seeds that count as blocking in any call form (they are kernel/net
 /// fns, not channel methods).
-const BLOCKING_ANY_FORM: &[&str] = &["call_remote", "send_probe_wave", "send_probes"];
+const BLOCKING_ANY_FORM: &[&str] = &["call_remote", "send_probe_wave"];
 
 /// Spawn-like callees whose closure argument runs on another thread: a
 /// guard live at the *spawn* is not held across the closure's blocking.
@@ -240,6 +240,7 @@ const SPAWN_CALLEES: &[&str] = &["spawn", "spawn_named"];
 /// bumps — any *byte*-copying clone must be waived with a justification.
 const HOT_PATH_FILES: &[&str] = &[
     "kernel/src/node.rs",
+    "kernel/src/delivery.rs",
     "net/src/network.rs",
     "net/src/reliable.rs",
 ];
@@ -1363,10 +1364,12 @@ fn caller(m: &Mutex<u32>, tx: &Sender<u32>) {
             lint_file(Path::new("crates/kernel/src/ctx.rs"), src).is_empty(),
             "off the hot path the clone is fine"
         );
-        let out = lint_file(Path::new("crates/net/src/network.rs"), src);
-        assert_eq!(out.len(), 1, "{out:#?}");
-        assert_eq!(out[0].rule, RULE_PAYLOAD_CLONE_IN_HOT_PATH);
-        assert_eq!(out[0].line, 2);
+        for hot in ["crates/net/src/network.rs", "crates/kernel/src/delivery.rs"] {
+            let out = lint_file(Path::new(hot), src);
+            assert_eq!(out.len(), 1, "{hot}: {out:#?}");
+            assert_eq!(out[0].rule, RULE_PAYLOAD_CLONE_IN_HOT_PATH);
+            assert_eq!(out[0].line, 2);
+        }
     }
 
     #[test]

@@ -222,7 +222,6 @@ fn await_peer(
 fn run_driver(me: NodeId, peers: Vec<SocketAddr>, victim_pid: u32) -> ! {
     let victim = NodeId(if me.0 == 0 { 1 } else { 0 });
     let (net, kernel) = start_node(me, peers);
-    let telemetry = Arc::clone(kernel.telemetry());
 
     // The launcher started the driver only after the target printed
     // READY, so its sleepers exist; wait until heartbeats flow.
@@ -260,24 +259,12 @@ fn run_driver(me: NodeId, peers: Vec<SocketAddr>, victim_pid: u32) -> ! {
     println!("phase B: killed node marked Dead, raise resolved as dead-target");
 
     // The five-term ledger, from this process's own telemetry.
-    let counters = telemetry.metrics().counters;
-    let get = |name: &str| counters.get(name).copied().unwrap_or(0);
-    let (requested, delivered, dead, timeout, lost, overloaded) = (
-        get("delivery.requested"),
-        get("delivery.delivered"),
-        get("delivery.dead"),
-        get("delivery.timeout"),
-        get("delivery.lost"),
-        get("delivery.overloaded"),
-    );
-    println!(
-        "ledger: requested={requested} delivered={delivered} dead={dead} \
-         timeout={timeout} lost={lost} overloaded={overloaded}"
-    );
-    if requested != delivered + dead + timeout + lost + overloaded {
+    let ledger = kernel.stats().ledger();
+    println!("ledger: {ledger}");
+    if !ledger.balanced() {
         fail("ledger out of balance");
     }
-    if (requested, delivered, dead) != (3, 2, 1) {
+    if (ledger.requested, ledger.delivered, ledger.dead) != (3, 2, 1) {
         fail("expected exactly requested=3 delivered=2 dead=1");
     }
     println!("UDP-SMOKE PASS");

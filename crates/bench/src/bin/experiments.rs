@@ -78,7 +78,7 @@ fn run_one(which: &str) -> Result<(), doct_kernel::KernelError> {
                 Err(e) => eprintln!("[e15: could not write BENCH_e15_zero_copy.json: {e}]"),
             }
         }
-        other => eprintln!("unknown experiment {other:?} (expected e1..e15 or all)"),
+        other => unreachable!("main validates experiment names, got {other:?}"),
     }
     Ok(())
 }
@@ -111,6 +111,11 @@ fn main() {
     } else {
         args.iter().map(String::as_str).collect()
     };
+    // A typo must fail the CI leg that made it, before anything runs.
+    if let Some(bad) = selected.iter().find(|w| !all.contains(w)) {
+        eprintln!("unknown experiment {bad:?} (expected e1..e15 or all)");
+        std::process::exit(2);
+    }
     for which in selected {
         let t0 = std::time::Instant::now();
         match run_one(which) {

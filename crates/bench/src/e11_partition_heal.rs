@@ -4,11 +4,11 @@
 //! Claim quantified: with the acked/retried transport and heartbeat
 //! failure detector on, a cluster that loses links mid-traffic keeps its
 //! delivery ledger balanced — every raise resolves as delivered, dead,
-//! timed out, or lost — and no raiser blocks past its deadline. A cut
-//! shorter than the retransmit tail is invisible (retransmissions carry
-//! the traffic across the heal); a cut longer than the detector's
-//! `dead_after` converts would-be hangs into prompt `TargetDead`
-//! verdicts.
+//! timed out, lost, or overloaded — and no raiser blocks past its
+//! deadline. A cut shorter than the retransmit tail is invisible
+//! (retransmissions carry the traffic across the heal); a cut longer than
+//! the detector's `dead_after` converts would-be hangs into prompt
+//! `TargetDead` verdicts.
 //!
 //! Workload: a 4-node reliable cluster with sleeper threads spread over
 //! nodes 1–3. Driver threads on node 0 raise events at seeded-random
@@ -19,8 +19,8 @@
 
 use crate::Table;
 use doct_kernel::{
-    ClusterBuilder, KernelConfig, KernelError, RaiseTarget, SpawnOptions, SystemEvent, ThreadId,
-    Value,
+    ClusterBuilder, KernelConfig, KernelError, LedgerSnapshot, RaiseTarget, SpawnOptions,
+    SystemEvent, ThreadId, Value,
 };
 use doct_net::{FailureConfig, NodeId, ReliabilityConfig};
 use parking_lot::Mutex;
@@ -56,16 +56,8 @@ pub struct PartitionRow {
     pub label: &'static str,
     /// How long node 3 stays isolated.
     pub cut: Duration,
-    /// `delivery.requested`.
-    pub requested: u64,
-    /// `delivery.delivered`.
-    pub delivered: u64,
-    /// `delivery.dead`.
-    pub dead: u64,
-    /// `delivery.timeout`.
-    pub timeout: u64,
-    /// `delivery.lost`.
-    pub lost: u64,
+    /// The delivery ledger after the cycle quiesced.
+    pub ledger: LedgerSnapshot,
     /// `net.retransmits`.
     pub retransmits: u64,
     /// `net.giveups` (retransmit queue abandoned an envelope).
@@ -185,19 +177,10 @@ fn one_cycle(label: &'static str, cut: Duration, seed: u64) -> Result<PartitionR
     // One idle delivery-timeout window so stragglers sweep out.
     std::thread::sleep(DELIVERY_TIMEOUT + Duration::from_millis(200));
 
-    let counters = cluster.telemetry().metrics().counters;
-    let get = |name: &str| counters.get(name).copied().unwrap_or(0);
-    let (requested, delivered, dead, timeout, lost) = (
-        get("delivery.requested"),
-        get("delivery.delivered"),
-        get("delivery.dead"),
-        get("delivery.timeout"),
-        get("delivery.lost"),
-    );
-    assert_eq!(
-        requested,
-        delivered + dead + timeout + lost,
-        "{label}: ledger out of balance"
+    let ledger = cluster.ledger();
+    assert!(
+        ledger.balanced(),
+        "{label}: ledger out of balance: {ledger}"
     );
     let stats = cluster.net().stats();
     let max_wait = waits.lock().iter().copied().max().unwrap_or(Duration::ZERO);
@@ -205,11 +188,7 @@ fn one_cycle(label: &'static str, cut: Duration, seed: u64) -> Result<PartitionR
     Ok(PartitionRow {
         label,
         cut,
-        requested,
-        delivered,
-        dead,
-        timeout,
-        lost,
+        ledger,
         retransmits: stats.retransmits(),
         giveups: stats.giveups(),
         verdicts: stats.suspects() + stats.deaths(),
@@ -249,6 +228,7 @@ pub fn table(rows: &[PartitionRow]) -> Table {
             "dead",
             "timeout",
             "lost",
+            "overloaded",
             "retransmits",
             "giveups",
             "verdicts",
@@ -261,11 +241,12 @@ pub fn table(rows: &[PartitionRow]) -> Table {
         t.row(vec![
             r.label.to_string(),
             format!("{:.0?}", r.cut),
-            r.requested.to_string(),
-            r.delivered.to_string(),
-            r.dead.to_string(),
-            r.timeout.to_string(),
-            r.lost.to_string(),
+            r.ledger.requested.to_string(),
+            r.ledger.delivered.to_string(),
+            r.ledger.dead.to_string(),
+            r.ledger.timeout.to_string(),
+            r.ledger.lost.to_string(),
+            r.ledger.overloaded.to_string(),
             r.retransmits.to_string(),
             r.giveups.to_string(),
             r.verdicts.to_string(),
@@ -285,12 +266,8 @@ mod tests {
     fn short_cut_cycle_balances_and_nothing_hangs() {
         let row = one_cycle("test", Duration::from_millis(120), 7).unwrap();
         assert_eq!(row.hung, 0, "{row:?}");
-        assert!(row.requested > 0);
-        assert_eq!(
-            row.requested,
-            row.delivered + row.dead + row.timeout + row.lost,
-            "{row:?}"
-        );
+        assert!(row.ledger.requested > 0);
+        assert!(row.ledger.balanced(), "{row:?}");
         assert!(row.retransmits > 0, "cut produced no retransmits: {row:?}");
     }
 }

@@ -136,19 +136,12 @@ fn case(reactors: usize) -> Result<ReactorRow, KernelError> {
     });
 
     // Resolution clock: the arm ends when every offered raise is typed.
-    let counters = || cluster.telemetry().metrics().counters;
-    let balanced = |c: &std::collections::BTreeMap<String, u64>| {
-        let get = |name: &str| c.get(name).copied().unwrap_or(0);
-        get("delivery.requested")
-            == get("delivery.delivered")
-                + get("delivery.dead")
-                + get("delivery.timeout")
-                + get("delivery.lost")
-                + get("delivery.overloaded")
-            && get("delivery.requested") >= offered
+    let settled = || {
+        let ledger = cluster.ledger();
+        ledger.balanced() && ledger.requested >= offered
     };
     let settle_deadline = Instant::now() + SETTLE_FOR;
-    while !balanced(&counters()) {
+    while !settled() {
         assert!(
             Instant::now() < settle_deadline,
             "reactors {reactors}: ledger did not balance within {SETTLE_FOR:?}"
@@ -167,14 +160,15 @@ fn case(reactors: usize) -> Result<ReactorRow, KernelError> {
     );
     crate::telemetry_out::record("e14", &cluster);
 
-    let c = counters();
+    let ledger = cluster.ledger();
+    let c = cluster.telemetry().metrics().counters;
     let get = |name: &str| c.get(name).copied().unwrap_or(0);
     Ok(ReactorRow {
         reactors,
         offered,
         resolved_per_s,
-        delivered: get("delivery.delivered"),
-        overloaded: get("delivery.overloaded"),
+        delivered: ledger.delivered,
+        overloaded: ledger.overloaded,
         steals: get("kernel.reactor_steals"),
         shard_contention: get("kernel.shard_contention"),
     })

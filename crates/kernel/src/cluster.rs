@@ -1,7 +1,8 @@
 //! The simulated DO/CT cluster: construction, object/thread lifecycle,
 //! external event injection, and the timer service.
 
-use crate::node::{IoHub, NodeKernel, RaiseTicket, TimerCmd};
+use crate::delivery::{LedgerSnapshot, RaiseTicket};
+use crate::node::{IoHub, NodeKernel, TimerCmd};
 use crate::{
     ClassRegistry, Ctx, DeliveryStatus, EventDispatcher, EventName, FabricChoice, GroupRegistry,
     KernelConfig, KernelError, KernelMessage, ObjectBehavior, ObjectConfig, ObjectDirectory,
@@ -290,6 +291,12 @@ impl Cluster {
     /// lifecycle trace ring (every node writes to the same instance).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
+    }
+
+    /// The cluster-wide delivery ledger (every node's kernel counts into
+    /// the same shared series).
+    pub fn ledger(&self) -> LedgerSnapshot {
+        self.kernels[0].stats().ledger()
     }
 
     /// Install the event facility's dispatcher on every node.

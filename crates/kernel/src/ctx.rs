@@ -5,7 +5,8 @@
 
 use crate::activation::{Activation, SleepOutcome, SyncWait};
 use crate::config::InvocationMode;
-use crate::node::{NodeKernel, RaiseTicket};
+use crate::delivery::RaiseTicket;
+use crate::node::NodeKernel;
 use crate::{
     EventName, KernelError, ObjectId, RaiseTarget, SystemEvent, ThreadAttributes,
     ThreadDisposition, ThreadId, Value, WireEvent,

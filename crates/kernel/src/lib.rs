@@ -49,6 +49,7 @@ mod attributes;
 mod cluster;
 mod config;
 mod ctx;
+mod delivery;
 mod error;
 mod event;
 mod group;
@@ -71,6 +72,7 @@ pub use config::{
     FabricChoice, InvocationMode, KernelConfig, LocatorStrategy, ObjectEventExecution,
 };
 pub use ctx::{AsyncInvocation, Ctx};
+pub use delivery::{DeliverySummary, KernelStats, LedgerSnapshot, RaiseTicket};
 pub use error::KernelError;
 pub use event::{
     DefaultDispatcher, DeliveryStatus, EventDispatcher, EventName, Lane, RaiseTarget, SystemEvent,
@@ -81,7 +83,7 @@ pub use ids::{ObjectId, ThreadGroupId, ThreadId};
 pub use location_cache::{LocationCache, LocationCacheConfig};
 pub use mailbox::{Admission, Mailbox, MailboxConfig};
 pub use message::{KernelMessage, ReceiptVerdict};
-pub use node::{DeliverySummary, IoHub, KernelStats, NodeKernel, RaiseTicket, TimerCmd};
+pub use node::{IoHub, NodeKernel, TimerCmd};
 pub use object::{
     ClassBuilder, ClassRegistry, ObjectBehavior, ObjectConfig, ObjectDirectory, ObjectRecord,
 };

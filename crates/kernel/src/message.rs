@@ -1,6 +1,6 @@
 //! Node-to-node kernel messages.
 
-use crate::{KernelError, ObjectId, ThreadAttributes, ThreadId, Value, WireEvent};
+use crate::{DeliveryStatus, KernelError, ObjectId, ThreadAttributes, ThreadId, Value, WireEvent};
 use doct_dsm::DsmMessage;
 use doct_net::{NodeId, WireMessage};
 use std::fmt;
@@ -17,6 +17,18 @@ pub enum ReceiptVerdict {
     /// resolves as `Overloaded` (no retry — the mailbox said no) and the
     /// origin applies backpressure toward the named node.
     Overloaded(NodeId),
+}
+
+impl ReceiptVerdict {
+    /// The status this verdict resolves the raise with; `None` for "not
+    /// here", which only continues the locate.
+    pub(crate) fn terminal(self) -> Option<DeliveryStatus> {
+        match self {
+            ReceiptVerdict::Found(node) => Some(DeliveryStatus::Delivered(node)),
+            ReceiptVerdict::Overloaded(node) => Some(DeliveryStatus::Overloaded(node)),
+            ReceiptVerdict::NotHere => None,
+        }
+    }
 }
 
 /// Everything that flows between node kernels.

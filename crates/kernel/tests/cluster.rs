@@ -1082,3 +1082,122 @@ fn detector_resolves_thread_delivery_as_dead_during_partition() {
     cluster.net().heal();
     let _ = handle.join_timeout(Duration::from_secs(10));
 }
+
+/// The balance check cannot tell `dead` from `timeout`: a swap still
+/// balances. One raise per deterministically reachable outcome, each
+/// asserting that `requested` and exactly the named ledger term moved by
+/// one and that the ticket's summary says the same. Row order matters:
+/// backpressure toward node 1, once noted, sheds every later sheddable
+/// raise headed there.
+#[test]
+fn every_outcome_moves_exactly_its_ledger_term() {
+    use doct_kernel::{EventName, LedgerSnapshot, MailboxConfig, ObjectId, RaiseTicket, ThreadId};
+    use std::sync::mpsc;
+
+    const DELIVERED: usize = 0;
+    const DEAD: usize = 1;
+    const TIMEOUT: usize = 2;
+    const LOST: usize = 3;
+    const OVERLOADED: usize = 4;
+    fn terms(l: LedgerSnapshot) -> [u64; 5] {
+        [l.delivered, l.dead, l.timeout, l.lost, l.overloaded]
+    }
+
+    let cluster = ClusterBuilder::new(2)
+        .config(KernelConfig {
+            delivery_timeout: Duration::from_secs(1),
+            mailbox: MailboxConfig {
+                user_capacity: 1,
+                backpressure_hold: Duration::from_secs(60),
+                ..MailboxConfig::default()
+            },
+            ..KernelConfig::default()
+        })
+        .build();
+    register_chain_class(&cluster);
+    let far_object = chain_objects(&cluster, &[1])[0];
+    // A thread parked outside any delivery point: its mailbox only fills.
+    let park = |node: usize| {
+        let (ready_tx, ready_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let handle = cluster
+            .spawn_fn(node, move |_ctx| {
+                ready_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+                Ok(Value::Null)
+            })
+            .unwrap();
+        ready_rx.recv().unwrap();
+        (handle, release_tx)
+    };
+    let (local, release_local) = park(0);
+    let (remote, release_remote) = park(1);
+
+    let row = |label: &str, term: usize, raise: &dyn Fn() -> RaiseTicket| {
+        let before = cluster.ledger();
+        let summary = raise().wait();
+        let after = cluster.ledger();
+        let mut want = terms(before);
+        want[term] += 1;
+        assert_eq!(after.requested, before.requested + 1, "{label}");
+        assert_eq!(terms(after), want, "{label}: {before} -> {after}");
+        let mut once = [0u64; 5];
+        once[term] = 1;
+        let told = [
+            summary.delivered,
+            summary.dead,
+            summary.timed_out,
+            summary.lost,
+            summary.overloaded,
+        ];
+        assert_eq!(told.map(|n| n as u64), once, "{label}: {summary:?}");
+    };
+    let user = || EventName::user("E");
+    let to = |target: RaiseTarget| cluster.raise_from(0, user(), Value::Null, target);
+    let shed_at_source = || {
+        let counters = cluster.telemetry().metrics().counters;
+        counters.get("kernel.shed_at_source").copied().unwrap_or(0)
+    };
+
+    row("local tip", DELIVERED, &|| to(local.thread().into()));
+    row("local tip, USER lane full", OVERLOADED, &|| {
+        to(local.thread().into())
+    });
+    row("remote thread", DELIVERED, &|| to(remote.thread().into()));
+    row("unknown thread", DEAD, &|| {
+        to(ThreadId::new(NodeId(1), 9_999).into())
+    });
+    row("object with no directory record", DEAD, &|| {
+        to(ObjectId::new(NodeId(1), 9_999).into())
+    });
+    row("remote object", DELIVERED, &|| to(far_object.into()));
+    // The probe arrives (TIMER lane has room) but its receipt is cut.
+    cluster
+        .net()
+        .set_link_one_way(NodeId(1), NodeId(0), false)
+        .unwrap();
+    row("receipt never returns", TIMEOUT, &|| {
+        cluster.raise_from(0, SystemEvent::Timer, Value::Null, remote.thread())
+    });
+    cluster.net().heal();
+    row("remote thread, USER lane full", OVERLOADED, &|| {
+        to(remote.thread().into())
+    });
+    assert_eq!(shed_at_source(), 0);
+    row("source shed, hinted thread", OVERLOADED, &|| {
+        to(remote.thread().into())
+    });
+    row("source shed, remote object", OVERLOADED, &|| {
+        to(far_object.into())
+    });
+    assert_eq!(shed_at_source(), 2);
+    // Every kernel loop has exited and drained: the table refuses inserts.
+    cluster.shutdown();
+    row("raise into a shut-down kernel", LOST, &|| {
+        to(remote.thread().into())
+    });
+
+    drop((release_local, release_remote));
+    let _ = local.join_timeout(Duration::from_secs(5));
+    let _ = remote.join_timeout(Duration::from_secs(5));
+}

@@ -23,17 +23,8 @@ fn counter(cluster: &Cluster, name: &str) -> u64 {
 }
 
 fn assert_ledger_balances(cluster: &Cluster) {
-    let requested = counter(cluster, "delivery.requested");
-    let delivered = counter(cluster, "delivery.delivered");
-    let dead = counter(cluster, "delivery.dead");
-    let timeout = counter(cluster, "delivery.timeout");
-    let lost = counter(cluster, "delivery.lost");
-    assert_eq!(
-        requested,
-        delivered + dead + timeout + lost,
-        "ledger out of balance: requested {requested} != delivered {delivered} \
-         + dead {dead} + timeout {timeout} + lost {lost}"
-    );
+    let ledger = cluster.ledger();
+    assert!(ledger.balanced(), "ledger out of balance: {ledger}");
 }
 
 fn fast_reliability() -> ReliabilityConfig {

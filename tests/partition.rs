@@ -39,27 +39,9 @@ fn fast_reliability() -> ReliabilityConfig {
     }
 }
 
-fn delivery_counters(cluster: &Cluster) -> (u64, u64, u64, u64, u64, u64) {
-    let counters = cluster.telemetry().metrics().counters;
-    let get = |name: &str| counters.get(name).copied().unwrap_or(0);
-    (
-        get("delivery.requested"),
-        get("delivery.delivered"),
-        get("delivery.dead"),
-        get("delivery.timeout"),
-        get("delivery.lost"),
-        get("delivery.overloaded"),
-    )
-}
-
 fn assert_ledger_balances(cluster: &Cluster) {
-    let (requested, delivered, dead, timeout, lost, overloaded) = delivery_counters(cluster);
-    assert_eq!(
-        requested,
-        delivered + dead + timeout + lost + overloaded,
-        "ledger out of balance: requested {requested} != delivered {delivered} \
-         + dead {dead} + timeout {timeout} + lost {lost} + overloaded {overloaded}"
-    );
+    let ledger = cluster.ledger();
+    assert!(ledger.balanced(), "ledger out of balance: {ledger}");
 }
 
 /// Spawn a sleeper thread in `group` on `node`; it parks at delivery
@@ -120,10 +102,10 @@ fn isolated_multicast_member_is_not_delivered_and_heal_replays_nothing() {
 
     // Heal and give any (wrong) replay machinery ample time: best-effort
     // transport retries nothing, so the delivered count must not move.
-    let delivered_before = delivery_counters(&cluster).1;
+    let delivered_before = cluster.ledger().delivered;
     cluster.net().heal();
     std::thread::sleep(Duration::from_millis(500));
-    let delivered_after = delivery_counters(&cluster).1;
+    let delivered_after = cluster.ledger().delivered;
     assert_eq!(
         delivered_before, delivered_after,
         "heal() must not replay the event to the islanded member"
@@ -242,9 +224,9 @@ fn batch_straddling_a_partition_heal_is_not_double_delivered() {
 
     // Exactly-once: the delivered count must not move after the dust
     // settles — a replayed batch would inflate it.
-    let delivered_before = delivery_counters(&cluster).1;
+    let delivered_before = cluster.ledger().delivered;
     std::thread::sleep(Duration::from_millis(300));
-    let delivered_after = delivery_counters(&cluster).1;
+    let delivered_after = cluster.ledger().delivered;
     assert_eq!(
         delivered_before, delivered_after,
         "retransmitted batch must not re-deliver to any member"
@@ -440,8 +422,11 @@ fn kernel_shutdown_mid_raise_resolves_receipts_as_lost() {
         start.elapsed()
     );
 
-    let (_, _, _, _, lost, _) = delivery_counters(&cluster);
-    assert_eq!(lost, 1, "delivery.lost must record the drained tracker");
+    assert_eq!(
+        cluster.ledger().lost,
+        1,
+        "delivery.lost must record the drained tracker"
+    );
     assert_ledger_balances(&cluster);
 
     cluster.net().heal();

@@ -226,18 +226,11 @@ fn quit_mid_batch_recycles_pool_chunks_and_keeps_the_ledger_balanced() {
     // Quiescence: every tracked raise accounted for, none lost to a
     // recycled buffer.
     std::thread::sleep(Duration::from_millis(300));
-    let counters = cluster.telemetry().metrics().counters;
-    let get = |name: &str| counters.get(name).copied().unwrap_or(0);
-    let requested = get("delivery.requested");
-    let resolved = get("delivery.delivered")
-        + get("delivery.dead")
-        + get("delivery.timeout")
-        + get("delivery.lost")
-        + get("delivery.overloaded");
-    assert!(requested > 0, "no tracked raises recorded");
-    assert_eq!(
-        requested, resolved,
-        "delivery ledger out of balance after QUIT mid-batch"
+    let ledger = cluster.ledger();
+    assert!(ledger.requested > 0, "no tracked raises recorded");
+    assert!(
+        ledger.balanced(),
+        "delivery ledger out of balance after QUIT mid-batch: {ledger}"
     );
 }
 

@@ -56,26 +56,12 @@ impl Drop for SeedReport {
 /// requested == delivered + dead + timed out + lost + overloaded.
 /// Shed raises are *typed* outcomes, never silent drops.
 fn assert_delivery_ledger_balances(cluster: &Cluster) {
-    let counters = cluster.telemetry().metrics().counters;
-    let get = |name: &str| counters.get(name).copied().unwrap_or(0);
-    let requested = get("delivery.requested");
-    let resolved = get("delivery.delivered")
-        + get("delivery.dead")
-        + get("delivery.timeout")
-        + get("delivery.lost")
-        + get("delivery.overloaded");
-    assert_eq!(
-        requested,
-        resolved,
-        "delivery ledger out of balance: requested {requested} != \
-         delivered {} + dead {} + timeout {} + lost {} + overloaded {}",
-        get("delivery.delivered"),
-        get("delivery.dead"),
-        get("delivery.timeout"),
-        get("delivery.lost"),
-        get("delivery.overloaded")
+    let ledger = cluster.ledger();
+    assert!(
+        ledger.balanced(),
+        "delivery ledger out of balance: {ledger}"
     );
-    assert!(requested > 0, "soak raised no tracked events");
+    assert!(ledger.requested > 0, "soak raised no tracked events");
 }
 
 #[test]
