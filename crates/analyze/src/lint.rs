@@ -1109,11 +1109,18 @@ mod tests {
     #[test]
     fn dead_counter_fixture_must_fail() {
         let r = fixture_report("dead_counter");
-        assert!(
-            r.violations.iter().any(|v| v.rule == RULE_DEAD_COUNTER),
-            "{:#?}",
-            r.violations
-        );
+        // Both shapes: a private handle field, and the `NetStats` idiom
+        // (public field bound by name, read via `.get()` and a snapshot
+        // table row, never written at any call site).
+        for orphan in ["kernel.fixture_orphan", "net.fixture_field_orphan"] {
+            assert!(
+                r.violations
+                    .iter()
+                    .any(|v| v.rule == RULE_DEAD_COUNTER && v.detail.contains(orphan)),
+                "{orphan} not reported dead: {:#?}",
+                r.violations
+            );
+        }
         assert!(
             r.violations
                 .iter()

@@ -18,13 +18,7 @@ fn run_one(which: &str) -> Result<(), doct_kernel::KernelError> {
         "e2" => {
             e2_thread_location::table(&e2_thread_location::run()?).print();
             e2_thread_location::moving_table(&e2_thread_location::run_moving()?).print();
-            let cache_rows = e2_thread_location::run_cache_sweep()?;
-            e2_thread_location::cache_table(&cache_rows).print();
-            let json = e2_thread_location::cache_json(&cache_rows);
-            match std::fs::write("BENCH_e2_locate.json", &json) {
-                Ok(()) => eprintln!("[e2 cache sweep written to BENCH_e2_locate.json]"),
-                Err(e) => eprintln!("[e2: could not write BENCH_e2_locate.json: {e}]"),
-            }
+            e2_thread_location::cache_table(&e2_thread_location::run_cache_sweep()?).print();
         }
         "e3" => e3_master_thread::table(&e3_master_thread::run()?).print(),
         "e4" => {
@@ -42,45 +36,33 @@ fn run_one(which: &str) -> Result<(), doct_kernel::KernelError> {
         "e9" => e9_monitor_overhead::table(&e9_monitor_overhead::run()?).print(),
         "e10" => e10_interest_lists::table(&e10_interest_lists::run()?).print(),
         "e11" => e11_partition_heal::table(&e11_partition_heal::run()?).print(),
-        "e12" => {
-            let rows = e12_fanout_batch::run()?;
-            e12_fanout_batch::table(&rows).print();
-            let json = e12_fanout_batch::json(&rows);
-            match std::fs::write("BENCH_e12_fanout_batch.json", &json) {
-                Ok(()) => eprintln!("[e12 sweep written to BENCH_e12_fanout_batch.json]"),
-                Err(e) => eprintln!("[e12: could not write BENCH_e12_fanout_batch.json: {e}]"),
-            }
-        }
+        "e12" => e12_fanout_batch::table(&e12_fanout_batch::run()?).print(),
         "e13" => {
             let rows = e13_overload::run()?;
             e13_overload::table(&rows).print();
-            let json = e13_overload::json(&rows);
-            match std::fs::write("BENCH_e13_overload.json", &json) {
-                Ok(()) => eprintln!("[e13 sweep written to BENCH_e13_overload.json]"),
-                Err(e) => eprintln!("[e13: could not write BENCH_e13_overload.json: {e}]"),
-            }
+            write_bench("BENCH_e13_overload.json", &e13_overload::json(&rows));
         }
         "e14" => {
             let rows = e14_reactor_scaling::run()?;
             e14_reactor_scaling::table(&rows).print();
-            let json = e14_reactor_scaling::json(&rows);
-            match std::fs::write("BENCH_e14_reactor_scaling.json", &json) {
-                Ok(()) => eprintln!("[e14 sweep written to BENCH_e14_reactor_scaling.json]"),
-                Err(e) => eprintln!("[e14: could not write BENCH_e14_reactor_scaling.json: {e}]"),
-            }
+            write_bench(
+                "BENCH_e14_reactor_scaling.json",
+                &e14_reactor_scaling::json(&rows),
+            );
         }
-        "e15" => {
-            let rows = e15_zero_copy::run()?;
-            e15_zero_copy::table(&rows).print();
-            let json = e15_zero_copy::json(&rows);
-            match std::fs::write("BENCH_e15_zero_copy.json", &json) {
-                Ok(()) => eprintln!("[e15 written to BENCH_e15_zero_copy.json]"),
-                Err(e) => eprintln!("[e15: could not write BENCH_e15_zero_copy.json: {e}]"),
-            }
-        }
+        "e15" => e15_zero_copy::table(&e15_zero_copy::run()?).print(),
         other => unreachable!("main validates experiment names, got {other:?}"),
     }
     Ok(())
+}
+
+/// Record a timing sweep no `benchmark/` workload covers (E13 overload
+/// shedding, E14 `reactors > 1`) in the working directory.
+fn write_bench(file: &str, json: &str) {
+    match std::fs::write(file, json) {
+        Ok(()) => eprintln!("[sweep written to {file}]"),
+        Err(e) => eprintln!("[could not write {file}: {e}]"),
+    }
 }
 
 /// Print what the experiment's clusters recorded: full JSON documents

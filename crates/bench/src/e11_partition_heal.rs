@@ -189,10 +189,10 @@ fn one_cycle(label: &'static str, cut: Duration, seed: u64) -> Result<PartitionR
         label,
         cut,
         ledger,
-        retransmits: stats.retransmits(),
-        giveups: stats.giveups(),
-        verdicts: stats.suspects() + stats.deaths(),
-        ack_latency: Duration::from_nanos(stats.ack_latency().mean_ns()),
+        retransmits: stats.retransmits.get(),
+        giveups: stats.giveups.get(),
+        verdicts: stats.suspects.get() + stats.deaths.get(),
+        ack_latency: Duration::from_nanos(stats.ack_latency.mean_ns()),
         max_wait,
         hung: hung.load(Ordering::Relaxed),
     })

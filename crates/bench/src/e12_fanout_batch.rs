@@ -6,18 +6,21 @@
 //! reliable transfers per `(src, dst)` pair and seals them into one
 //! `BatchEnvelope` (one seq, one wire hop), and receipts riding back get
 //! the same treatment through the response windows the batch arms. This
-//! sweep measures the wire-message reduction that buys, against the
-//! `with_batching(false)` ablation, across group size × hosting-node
-//! span — with raise latency alongside to show the deadline does not
-//! cost tail time at these scales.
+//! sweep counts the wire-message reduction that buys, against the
+//! `batch_max = 1` ablation (every payload seals alone), across group
+//! size × hosting-node span, and asserts the claim: at 8 members on 2
+//! nodes the default `batch_max` sends at least 3× fewer wire messages
+//! per raise. Raise latency on this path is `benchmark/`'s
+//! `group_fanout` workload (see `benchmark/README.md`).
 
 use crate::Table;
+use doct_events::EventFacility;
 use doct_kernel::{
     Cluster, ClusterBuilder, KernelConfig, KernelError, LocatorStrategy, RaiseTarget, SpawnOptions,
     SystemEvent, Value,
 };
 use doct_net::{FailureConfig, MessageClass, ReliabilityConfig};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One measured configuration.
 #[derive(Debug, Clone)]
@@ -26,38 +29,26 @@ pub struct FanoutRow {
     pub group_size: usize,
     /// Nodes hosting members (the raiser is an extra, member-free node).
     pub hosting_nodes: usize,
-    /// Batching enabled on the reliability layer.
-    pub batching: bool,
+    /// Most payloads per sealed batch (`1` is the no-batching ablation).
+    pub batch_max: usize,
     /// Measured (post-warm-up) raises.
     pub raises: u64,
     /// Physical wire transmissions per raise (a batch counts once).
     pub wire_per_raise: f64,
     /// `Locate`-class payloads per raise (probes + receipts; identical
-    /// with batching on or off — batching changes packaging, not payloads).
+    /// in both arms — batching changes packaging, not payloads).
     pub locate_per_raise: f64,
     /// Batches sealed per raise.
     pub batches_per_raise: f64,
-    /// Mean payloads per sealed batch (0 with batching off).
+    /// Mean payloads per sealed batch (0 at `batch_max = 1`).
     pub mean_fill: f64,
     /// Acks saved by cumulative acknowledgement, per raise.
     pub acks_coalesced_per_raise: f64,
-    /// Raise→receipt latency, median, microseconds.
-    pub p50_us: f64,
-    /// Raise→receipt latency, 99th percentile, microseconds.
-    pub p99_us: f64,
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Tight reliability tuning so the bench finishes quickly; only the
-/// `batching` knob varies between the measured arms.
-fn bench_reliability(batching: bool) -> ReliabilityConfig {
+/// Tight reliability tuning so the sweep finishes quickly (shared with
+/// E15); only `batch_max` varies between the measured arms.
+pub(crate) fn bench_reliability(batch_max: usize) -> ReliabilityConfig {
     ReliabilityConfig {
         max_retries: 60,
         base_backoff: Duration::from_millis(5),
@@ -66,12 +57,16 @@ fn bench_reliability(batching: bool) -> ReliabilityConfig {
         tick: Duration::from_millis(2),
         heartbeat_interval: Duration::from_millis(50),
         dedupe_window: 4096,
+        batch_max,
         ..ReliabilityConfig::default()
     }
-    .with_batching(batching)
 }
 
-fn case(group_size: usize, hosting_nodes: usize, batching: bool) -> Result<FanoutRow, KernelError> {
+fn case(
+    group_size: usize,
+    hosting_nodes: usize,
+    batch_max: usize,
+) -> Result<FanoutRow, KernelError> {
     const WARMUP: usize = 3;
     const MEASURED: usize = 30;
     // The raiser lives on node 0 and hosts no members, so every probe and
@@ -85,8 +80,9 @@ fn case(group_size: usize, hosting_nodes: usize, batching: bool) -> Result<Fanou
             }
             .without_location_cache(),
         )
-        .reliable_with(bench_reliability(batching), FailureConfig::default())
+        .reliable_with(bench_reliability(batch_max), FailureConfig::default())
         .build();
+    let _facility = EventFacility::install(&cluster);
     let group = cluster.create_group();
     let handles: Vec<_> = (0..group_size)
         .map(|i| {
@@ -104,7 +100,6 @@ fn case(group_size: usize, hosting_nodes: usize, batching: bool) -> Result<Fanou
     std::thread::sleep(Duration::from_millis(80));
 
     let raise_once = || {
-        let t0 = Instant::now();
         let summary = cluster
             .raise_from(
                 0,
@@ -115,23 +110,17 @@ fn case(group_size: usize, hosting_nodes: usize, batching: bool) -> Result<Fanou
             .wait();
         assert_eq!(
             summary.delivered, group_size,
-            "members={group_size} span={hosting_nodes} batching={batching}: {summary:?}"
+            "members={group_size} span={hosting_nodes} batch_max={batch_max}: {summary:?}"
         );
-        t0.elapsed()
     };
     for _ in 0..WARMUP {
-        let _ = raise_once();
+        raise_once();
     }
     let before = cluster.net().stats().snapshot();
-    let fill_sum_before = cluster.net().stats().batch_fill().sum_ns();
-    let fill_count_before = cluster.net().stats().batch_fill().count();
-    let mut lats_us = Vec::with_capacity(MEASURED);
     for _ in 0..MEASURED {
-        lats_us.push(raise_once().as_secs_f64() * 1e6);
+        raise_once();
     }
     let delta = before.delta(&cluster.net().stats().snapshot());
-    let fill_sum = cluster.net().stats().batch_fill().sum_ns() - fill_sum_before;
-    let fill_count = cluster.net().stats().batch_fill().count() - fill_count_before;
 
     let _ = cluster
         .raise_from(0, SystemEvent::Quit, Value::Null, RaiseTarget::Group(group))
@@ -141,51 +130,61 @@ fn case(group_size: usize, hosting_nodes: usize, batching: bool) -> Result<Fanou
     }
     crate::telemetry_out::record("e12", &cluster);
 
-    lats_us.sort_by(|x, y| x.partial_cmp(y).expect("finite latency"));
     let per_raise = |n: u64| n as f64 / MEASURED as f64;
     Ok(FanoutRow {
         group_size,
         hosting_nodes,
-        batching,
+        batch_max,
         raises: MEASURED as u64,
-        wire_per_raise: per_raise(delta.wire_msgs()),
+        wire_per_raise: per_raise(delta.get("wire_msgs")),
         locate_per_raise: per_raise(delta.sent(MessageClass::Locate)),
-        batches_per_raise: per_raise(delta.batches_sent()),
-        mean_fill: if fill_count > 0 {
-            fill_sum as f64 / fill_count as f64
-        } else {
-            0.0
+        batches_per_raise: per_raise(delta.get("batches_sent")),
+        mean_fill: match delta.get("batch_fill.count") {
+            0 => 0.0,
+            sealed => delta.get("batch_fill.sum") as f64 / sealed as f64,
         },
-        acks_coalesced_per_raise: per_raise(delta.acks_coalesced()),
-        p50_us: percentile(&lats_us, 0.50),
-        p99_us: percentile(&lats_us, 0.99),
+        acks_coalesced_per_raise: per_raise(delta.get("acks_coalesced")),
     })
 }
 
 /// Run the sweep: (group size, hosting nodes) ∈ {(2,1), (4,2), (8,2),
-/// (8,4), (16,4)} — members per node from 2 to 4 — each with batching
-/// off then on. (8,2) is the acceptance configuration: ≥3× fewer wire
-/// messages per raise with batching on.
+/// (8,4), (16,4)} — members per node from 2 to 4 — each at
+/// `batch_max = 1` then the default. (8,2) is the acceptance
+/// configuration: ≥3× fewer wire messages per raise at the default.
 ///
 /// # Errors
 ///
 /// Cluster construction/spawn failures.
+///
+/// # Panics
+///
+/// Panics if the (8,2) reduction falls below 3×.
 pub fn run() -> Result<Vec<FanoutRow>, KernelError> {
+    let default_max = ReliabilityConfig::default().batch_max;
     let mut rows = Vec::new();
     for &(members, span) in &[(2usize, 1usize), (4, 2), (8, 2), (8, 4), (16, 4)] {
-        for batching in [false, true] {
-            rows.push(case(members, span, batching)?);
+        for batch_max in [1, default_max] {
+            rows.push(case(members, span, batch_max)?);
         }
     }
+    let gate = reductions(&rows).into_iter().find(|r| (r.0, r.1) == (8, 2));
+    let (_, _, ratio) = gate.expect("the sweep covers 8 members on 2 nodes");
+    assert!(
+        ratio >= 3.0,
+        "E12 claim: default batch_max must cut wire msgs/raise ≥3× at 8×2, got {ratio:.2}×"
+    );
     Ok(rows)
 }
 
-/// Wire-message reduction (off / on) for each swept configuration.
+/// Wire-message reduction (`batch_max = 1` over default) for each swept
+/// configuration.
 fn reductions(rows: &[FanoutRow]) -> Vec<(usize, usize, f64)> {
     let mut out = Vec::new();
-    for off in rows.iter().filter(|r| !r.batching) {
+    for off in rows.iter().filter(|r| r.batch_max == 1) {
         if let Some(on) = rows.iter().find(|r| {
-            r.batching && r.group_size == off.group_size && r.hosting_nodes == off.hosting_nodes
+            r.batch_max > 1
+                && r.group_size == off.group_size
+                && r.hosting_nodes == off.hosting_nodes
         }) {
             let ratio = if on.wire_per_raise > 0.0 {
                 off.wire_per_raise / on.wire_per_raise
@@ -205,38 +204,32 @@ pub fn table(rows: &[FanoutRow]) -> Table {
         &[
             "members",
             "span",
-            "batching",
+            "batch_max",
             "wire/raise",
             "locate/raise",
             "batches/raise",
             "fill",
             "acks saved/raise",
-            "p50",
-            "p99",
         ],
     );
     for r in rows {
         t.row(vec![
             r.group_size.to_string(),
             r.hosting_nodes.to_string(),
-            if r.batching { "on" } else { "off" }.to_string(),
+            r.batch_max.to_string(),
             format!("{:.1}", r.wire_per_raise),
             format!("{:.1}", r.locate_per_raise),
             format!("{:.1}", r.batches_per_raise),
             format!("{:.1}", r.mean_fill),
             format!("{:.1}", r.acks_coalesced_per_raise),
-            format!("{:.1?}", Duration::from_secs_f64(r.p50_us / 1e6)),
-            format!("{:.1?}", Duration::from_secs_f64(r.p99_us / 1e6)),
         ]);
     }
     for (members, span, ratio) in reductions(rows) {
         t.row(vec![
             members.to_string(),
             span.to_string(),
-            "off/on".to_string(),
+            "1/default".to_string(),
             format!("{ratio:.1}x"),
-            String::new(),
-            String::new(),
             String::new(),
             String::new(),
             String::new(),
@@ -244,43 +237,4 @@ pub fn table(rows: &[FanoutRow]) -> Table {
         ]);
     }
     t
-}
-
-/// The sweep as machine-readable JSON (`BENCH_e12_fanout_batch.json`):
-/// per-configuration wire traffic and latency, plus the off/on reduction
-/// ratios future changes are compared against.
-pub fn json(rows: &[FanoutRow]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"e12_fanout_batch\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"group_size\": {}, \"hosting_nodes\": {}, \"batching\": {}, \
-             \"raises\": {}, \"wire_msgs_per_raise\": {:.2}, \
-             \"locate_msgs_per_raise\": {:.2}, \"batches_per_raise\": {:.2}, \
-             \"mean_batch_fill\": {:.2}, \"acks_coalesced_per_raise\": {:.2}, \
-             \"p50_raise_us\": {:.1}, \"p99_raise_us\": {:.1}}}{}\n",
-            r.group_size,
-            r.hosting_nodes,
-            r.batching,
-            r.raises,
-            r.wire_per_raise,
-            r.locate_per_raise,
-            r.batches_per_raise,
-            r.mean_fill,
-            r.acks_coalesced_per_raise,
-            r.p50_us,
-            r.p99_us,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"wire_reduction_off_over_on\": [\n");
-    let ratios = reductions(rows);
-    for (i, (members, span, ratio)) in ratios.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"group_size\": {members}, \"hosting_nodes\": {span}, \
-             \"reduction\": {ratio:.2}}}{}\n",
-            if i + 1 < ratios.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }

@@ -9,7 +9,10 @@
 //! offered count divided by the time from the first raise until the
 //! five-term ledger balances (every raise typed delivered / overloaded /
 //! dead / timeout / lost) — admission control is part of the pipeline, so
-//! sheds count as resolved work, not as progress lost.
+//! sheds count as resolved work, not as progress lost. The event
+//! facility is installed, so each delivered TIMER runs the sink's `burn`
+//! handler — the service cost the throughput is defined against;
+//! `handlers_run` shows it did.
 //!
 //! The claim under test: with the delivery table lock-striped and the
 //! kernel loop split into work-stealing reactors, 4 reactors sustain
@@ -21,7 +24,7 @@
 //! counters prove the multi-reactor machinery actually engaged).
 
 use crate::Table;
-use doct_events::CtxEvents;
+use doct_events::{CtxEvents, EventFacility};
 use doct_kernel::{ClusterBuilder, KernelConfig, KernelError, SystemEvent, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -52,6 +55,10 @@ pub struct ReactorRow {
     pub resolved_per_s: f64,
     /// `delivery.delivered` for the arm.
     pub delivered: u64,
+    /// `facility.handlers_run` — `burn` executions. At most `delivered`:
+    /// the sinks stop polling when the window ends, so events still in a
+    /// mailbox then are delivered but never handled.
+    pub handlers_run: u64,
     /// `delivery.overloaded` for the arm (typed admission sheds).
     pub overloaded: u64,
     /// `kernel.reactor_steals` — batches stolen by idle reactors.
@@ -77,6 +84,7 @@ fn case(reactors: usize) -> Result<ReactorRow, KernelError> {
             .with_reactors(reactors),
         )
         .build();
+    let _facility = EventFacility::install(&cluster);
 
     // Four draining sinks: each burns SERVICE per event and keeps polling
     // so the backlog moves; distinct threads mean distinct route slots.
@@ -163,11 +171,19 @@ fn case(reactors: usize) -> Result<ReactorRow, KernelError> {
     let ledger = cluster.ledger();
     let c = cluster.telemetry().metrics().counters;
     let get = |name: &str| c.get(name).copied().unwrap_or(0);
+    let handlers_run = get("facility.handlers_run");
+    assert!(
+        (1..=ledger.delivered).contains(&handlers_run),
+        "reactors {reactors}: {handlers_run} handler runs for {} deliveries — \
+         the service cost this arm's rate is defined against did not run",
+        ledger.delivered
+    );
     Ok(ReactorRow {
         reactors,
         offered,
         resolved_per_s,
         delivered: ledger.delivered,
+        handlers_run,
         overloaded: ledger.overloaded,
         steals: get("kernel.reactor_steals"),
         shard_contention: get("kernel.shard_contention"),
@@ -186,6 +202,11 @@ pub fn host_cores() -> usize {
 /// # Errors
 ///
 /// Cluster construction/spawn failures.
+///
+/// # Panics
+///
+/// Panics if an arm's ledger does not balance, or its `burn` handler
+/// never ran (or ran more often than events were delivered).
 pub fn run() -> Result<Vec<ReactorRow>, KernelError> {
     [1usize, 2, 4, 8].iter().map(|&n| case(n)).collect()
 }
@@ -218,6 +239,7 @@ pub fn table(rows: &[ReactorRow]) -> Table {
             "offered",
             "resolved/s",
             "delivered",
+            "handlers_run",
             "overloaded",
             "steals",
             "contention",
@@ -229,6 +251,7 @@ pub fn table(rows: &[ReactorRow]) -> Table {
             r.offered.to_string(),
             format!("{:.0}", r.resolved_per_s),
             r.delivered.to_string(),
+            r.handlers_run.to_string(),
             r.overloaded.to_string(),
             r.steals.to_string(),
             r.shard_contention.to_string(),
@@ -238,6 +261,7 @@ pub fn table(rows: &[ReactorRow]) -> Table {
         format!("host: {} core(s)", host_cores()),
         String::new(),
         format!("4x/1x: {:.2}x", scaling_4x(rows)),
+        String::new(),
         String::new(),
         String::new(),
         String::new(),
@@ -259,12 +283,13 @@ pub fn json(rows: &[ReactorRow]) -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"reactors\": {}, \"offered\": {}, \"resolved_per_s\": {:.0}, \
-             \"delivered\": {}, \"overloaded\": {}, \"steals\": {}, \
-             \"shard_contention\": {}}}{}\n",
+             \"delivered\": {}, \"handlers_run\": {}, \"overloaded\": {}, \
+             \"steals\": {}, \"shard_contention\": {}}}{}\n",
             r.reactors,
             r.offered,
             r.resolved_per_s,
             r.delivered,
+            r.handlers_run,
             r.overloaded,
             r.steals,
             r.shard_contention,

@@ -17,16 +17,20 @@
 //!   singleton chunk must come from the pool free list (hit rate ≥99%),
 //!   so the steady-state fast path allocates nothing.
 //!
-//! Both cases assert their acceptance bound and fail the bench run
-//! otherwise — this is the regression gate CI's smoke step runs.
+//! Both cases assert their acceptance bound and fail the run otherwise
+//! — this is the count gate CI runs. Raise latency on these two paths is
+//! `benchmark/`'s `group_fanout` and `unicast_warm` workloads (see
+//! `benchmark/README.md`).
 
+use crate::e12_fanout_batch::bench_reliability;
 use crate::Table;
+use doct_events::EventFacility;
 use doct_kernel::{
     Bytes, Cluster, ClusterBuilder, KernelConfig, KernelError, LocatorStrategy, RaiseTarget,
     SpawnOptions, SystemEvent, Value,
 };
 use doct_net::{FailureConfig, ReliabilityConfig};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One measured case.
 #[derive(Debug, Clone)]
@@ -44,29 +48,42 @@ pub struct ZeroCopyRow {
     pub pool_hit_rate: f64,
     /// Chunk buffers recycled to the pool over the measured window.
     pub pool_recycled: u64,
-    /// Raise→receipt latency, median, microseconds.
-    pub p50_us: f64,
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+/// Warm up, then count deep-copied payload bytes and pool traffic over
+/// `measured` raises. The process-wide copy counter is mirrored into the
+/// cluster's net stats so the telemetry snapshot records
+/// `net.bytes_copied` alongside the pool counters.
+fn measure(
+    cluster: &Cluster,
+    case: &'static str,
+    payload_bytes: usize,
+    warmup: usize,
+    measured: usize,
+    raise_once: impl Fn(),
+) -> ZeroCopyRow {
+    for _ in 0..warmup {
+        raise_once();
     }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Same tight tuning as E12 so runs finish quickly.
-fn bench_reliability() -> ReliabilityConfig {
-    ReliabilityConfig {
-        max_retries: 60,
-        base_backoff: Duration::from_millis(5),
-        max_backoff: Duration::from_millis(20),
-        jitter: Duration::from_millis(2),
-        tick: Duration::from_millis(2),
-        heartbeat_interval: Duration::from_millis(50),
-        dedupe_window: 4096,
-        ..ReliabilityConfig::default()
+    let copied_before = Bytes::deep_copied_bytes();
+    let before = cluster.net().stats().snapshot();
+    for _ in 0..measured {
+        raise_once();
+    }
+    let copied = Bytes::deep_copied_bytes() - copied_before;
+    cluster.net().stats().bytes_copied.add(copied);
+    let delta = before.delta(&cluster.net().stats().snapshot());
+    let (hits, misses) = (delta.get("pool_hits"), delta.get("pool_misses"));
+    ZeroCopyRow {
+        case,
+        raises: measured as u64,
+        payload_bytes,
+        bytes_copied_per_raise: copied as f64 / measured as f64,
+        pool_hit_rate: match hits + misses {
+            0 => 0.0,
+            takes => hits as f64 / takes as f64,
+        },
+        pool_recycled: delta.get("pool_recycled"),
     }
 }
 
@@ -88,8 +105,12 @@ fn fanout_case() -> Result<ZeroCopyRow, KernelError> {
             }
             .without_location_cache(),
         )
-        .reliable_with(bench_reliability(), FailureConfig::default())
+        .reliable_with(
+            bench_reliability(ReliabilityConfig::default().batch_max),
+            FailureConfig::default(),
+        )
         .build();
+    let _facility = EventFacility::install(&cluster);
     let group = cluster.create_group();
     let handles: Vec<_> = (0..MEMBERS)
         .map(|i| {
@@ -107,8 +128,7 @@ fn fanout_case() -> Result<ZeroCopyRow, KernelError> {
     std::thread::sleep(Duration::from_millis(80));
 
     let payload = Value::Bytes(Bytes::from_vec(vec![0xA5; PAYLOAD]));
-    let raise_once = || {
-        let t0 = Instant::now();
+    let row = measure(&cluster, "fanout", PAYLOAD, WARMUP, MEASURED, || {
         let summary = cluster
             .raise_from(
                 0,
@@ -118,23 +138,7 @@ fn fanout_case() -> Result<ZeroCopyRow, KernelError> {
             )
             .wait();
         assert_eq!(summary.delivered, MEMBERS, "fan-out delivery: {summary:?}");
-        t0.elapsed()
-    };
-    for _ in 0..WARMUP {
-        let _ = raise_once();
-    }
-    let copied_before = Bytes::deep_copied_bytes();
-    let before = cluster.net().stats().snapshot();
-    let mut lats_us = Vec::with_capacity(MEASURED);
-    for _ in 0..MEASURED {
-        lats_us.push(raise_once().as_secs_f64() * 1e6);
-    }
-    let copied = Bytes::deep_copied_bytes() - copied_before;
-    // Mirror the process-wide counter into the cluster's net stats so the
-    // telemetry snapshot records `net.bytes_copied` alongside the pool
-    // counters.
-    cluster.net().stats().record_bytes_copied(copied);
-    let delta = before.delta(&cluster.net().stats().snapshot());
+    });
 
     let _ = cluster
         .raise_from(0, SystemEvent::Quit, Value::Null, RaiseTarget::Group(group))
@@ -144,27 +148,13 @@ fn fanout_case() -> Result<ZeroCopyRow, KernelError> {
     }
     crate::telemetry_out::record("e15", &cluster);
 
-    let per_raise = copied as f64 / MEASURED as f64;
     assert!(
-        per_raise <= (SPAN * PAYLOAD) as f64,
-        "fan-out copied {per_raise:.0} payload bytes/raise — more than one \
-         copy per destination node ({SPAN} nodes × {PAYLOAD} B)"
+        row.bytes_copied_per_raise <= (SPAN * PAYLOAD) as f64,
+        "fan-out copied {:.0} payload bytes/raise — more than one \
+         copy per destination node ({SPAN} nodes × {PAYLOAD} B)",
+        row.bytes_copied_per_raise
     );
-    lats_us.sort_by(|x, y| x.partial_cmp(y).expect("finite latency"));
-    let attempts = delta.pool_hits() + delta.pool_misses();
-    Ok(ZeroCopyRow {
-        case: "fanout",
-        raises: MEASURED as u64,
-        payload_bytes: PAYLOAD,
-        bytes_copied_per_raise: per_raise,
-        pool_hit_rate: if attempts > 0 {
-            delta.pool_hits() as f64 / attempts as f64
-        } else {
-            0.0
-        },
-        pool_recycled: delta.pool_recycled(),
-        p50_us: percentile(&lats_us, 0.50),
-    })
+    Ok(row)
 }
 
 /// The E2c-style warm path: a stationary target, hint cache on, so every
@@ -179,8 +169,12 @@ fn warm_unicast_case() -> Result<ZeroCopyRow, KernelError> {
             delivery_timeout: Duration::from_secs(5),
             ..KernelConfig::with_locator(LocatorStrategy::Broadcast)
         })
-        .reliable_with(bench_reliability(), FailureConfig::default())
+        .reliable_with(
+            bench_reliability(ReliabilityConfig::default().batch_max),
+            FailureConfig::default(),
+        )
         .build();
+    let _facility = EventFacility::install(&cluster);
     let handle = cluster.spawn_fn(1, |ctx| {
         ctx.sleep(Duration::from_secs(120))?;
         Ok(Value::Null)
@@ -188,26 +182,12 @@ fn warm_unicast_case() -> Result<ZeroCopyRow, KernelError> {
     std::thread::sleep(Duration::from_millis(80));
 
     let payload = Value::Bytes(Bytes::from_vec(vec![0x5A; PAYLOAD]));
-    let raise_once = || {
-        let t0 = Instant::now();
+    let row = measure(&cluster, "warm-unicast", PAYLOAD, WARMUP, MEASURED, || {
         let summary = cluster
             .raise_from(0, SystemEvent::Timer, payload.clone(), handle.thread())
             .wait();
         assert_eq!(summary.delivered, 1, "warm unicast delivery: {summary:?}");
-        t0.elapsed()
-    };
-    for _ in 0..WARMUP {
-        let _ = raise_once();
-    }
-    let copied_before = Bytes::deep_copied_bytes();
-    let before = cluster.net().stats().snapshot();
-    let mut lats_us = Vec::with_capacity(MEASURED);
-    for _ in 0..MEASURED {
-        lats_us.push(raise_once().as_secs_f64() * 1e6);
-    }
-    let copied = Bytes::deep_copied_bytes() - copied_before;
-    cluster.net().stats().record_bytes_copied(copied);
-    let delta = before.delta(&cluster.net().stats().snapshot());
+    });
 
     let _ = cluster
         .raise_from(0, SystemEvent::Quit, Value::Null, handle.thread())
@@ -215,29 +195,13 @@ fn warm_unicast_case() -> Result<ZeroCopyRow, KernelError> {
     let _ = handle.join_timeout(Duration::from_secs(5));
     crate::telemetry_out::record("e15", &cluster);
 
-    let attempts = delta.pool_hits() + delta.pool_misses();
-    let hit_rate = if attempts > 0 {
-        delta.pool_hits() as f64 / attempts as f64
-    } else {
-        0.0
-    };
     assert!(
-        hit_rate >= 0.99,
-        "warm-unicast pool hit rate {hit_rate:.4} < 0.99 \
-         ({} hits / {} misses) — the steady-state fast path is allocating",
-        delta.pool_hits(),
-        delta.pool_misses()
+        row.pool_hit_rate >= 0.99,
+        "warm-unicast pool hit rate {:.4} < 0.99 — the steady-state fast \
+         path is allocating",
+        row.pool_hit_rate
     );
-    lats_us.sort_by(|x, y| x.partial_cmp(y).expect("finite latency"));
-    Ok(ZeroCopyRow {
-        case: "warm-unicast",
-        raises: MEASURED as u64,
-        payload_bytes: PAYLOAD,
-        bytes_copied_per_raise: copied as f64 / MEASURED as f64,
-        pool_hit_rate: hit_rate,
-        pool_recycled: delta.pool_recycled(),
-        p50_us: percentile(&lats_us, 0.50),
-    })
+    Ok(row)
 }
 
 /// Run both cases.
@@ -245,6 +209,10 @@ fn warm_unicast_case() -> Result<ZeroCopyRow, KernelError> {
 /// # Errors
 ///
 /// Cluster construction/spawn failures.
+///
+/// # Panics
+///
+/// Panics if either case misses its acceptance bound.
 pub fn run() -> Result<Vec<ZeroCopyRow>, KernelError> {
     Ok(vec![fanout_case()?, warm_unicast_case()?])
 }
@@ -260,7 +228,6 @@ pub fn table(rows: &[ZeroCopyRow]) -> Table {
             "copied B/raise",
             "pool hit rate",
             "recycled",
-            "p50",
         ],
     );
     for r in rows {
@@ -271,32 +238,7 @@ pub fn table(rows: &[ZeroCopyRow]) -> Table {
             format!("{:.1}", r.bytes_copied_per_raise),
             format!("{:.3}", r.pool_hit_rate),
             r.pool_recycled.to_string(),
-            format!("{:.1?}", Duration::from_secs_f64(r.p50_us / 1e6)),
         ]);
     }
     t
-}
-
-/// The measurements as machine-readable JSON
-/// (`BENCH_e15_zero_copy.json`) — the per-raise copied-bytes and pool
-/// hit-rate numbers future changes are compared against.
-pub fn json(rows: &[ZeroCopyRow]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"e15_zero_copy\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"case\": \"{}\", \"raises\": {}, \"payload_bytes\": {}, \
-             \"bytes_copied_per_raise\": {:.2}, \"pool_hit_rate\": {:.4}, \
-             \"pool_recycled\": {}, \"p50_raise_us\": {:.1}}}{}\n",
-            r.case,
-            r.raises,
-            r.payload_bytes,
-            r.bytes_copied_per_raise,
-            r.pool_hit_rate,
-            r.pool_recycled,
-            r.p50_us,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }

@@ -266,22 +266,10 @@ pub struct CacheRow {
     pub locate_msgs_per_raise: f64,
     /// Hint unicast probes per measured raise.
     pub hint_unicasts_per_raise: f64,
-    /// Raise→receipt latency, median, microseconds.
-    pub p50_us: f64,
-    /// Raise→receipt latency, 99th percentile, microseconds.
-    pub p99_us: f64,
     /// `cache_hits / (cache_hits + cache_misses)`; 0 with the cache off.
     pub hit_rate: f64,
     /// Stale-hint fallbacks (`locator.cache_stale`).
     pub stale: u64,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 fn cache_counter(cluster: &Cluster, name: &str) -> u64 {
@@ -344,16 +332,14 @@ fn cache_case(
     std::thread::sleep(Duration::from_millis(80));
 
     let raise_once = || {
-        let t0 = Instant::now();
-        let summary = cluster
+        cluster
             .raise_from(
                 raiser_node,
                 doct_kernel::EventName::user("E2C"),
                 Value::Null,
                 handle.thread(),
             )
-            .wait();
-        (summary, t0.elapsed())
+            .wait()
     };
     for _ in 0..WARMUP {
         let _ = raise_once();
@@ -364,12 +350,9 @@ fn cache_case(
     let stale_before = cache_counter(&cluster, "locator.cache_stale");
     let mut delivered = 0u64;
     let mut failed = 0u64;
-    let mut lats_us = Vec::with_capacity(MEASURED);
     for _ in 0..MEASURED {
-        let (summary, lat) = raise_once();
-        if summary.delivered > 0 {
+        if raise_once().delivered > 0 {
             delivered += 1;
-            lats_us.push(lat.as_secs_f64() * 1e6);
         } else {
             failed += 1;
         }
@@ -393,7 +376,6 @@ fn cache_case(
     }
     crate::telemetry_out::record("e2.cache", &cluster);
 
-    lats_us.sort_by(|x, y| x.partial_cmp(y).expect("finite latency"));
     Ok(CacheRow {
         strategy,
         cache,
@@ -402,9 +384,7 @@ fn cache_case(
         delivered,
         failed,
         locate_msgs_per_raise: delta.sent(MessageClass::Locate) as f64 / MEASURED as f64,
-        hint_unicasts_per_raise: delta.hint_unicasts() as f64 / MEASURED as f64,
-        p50_us: percentile(&lats_us, 0.50),
-        p99_us: percentile(&lats_us, 0.99),
+        hint_unicasts_per_raise: delta.get("hint_unicasts") as f64 / MEASURED as f64,
         hit_rate: if hits + misses > 0 {
             hits as f64 / (hits + misses) as f64
         } else {
@@ -415,11 +395,20 @@ fn cache_case(
 }
 
 /// Run the location-cache sweep: cache {off, on} × the three locator
-/// strategies × {stationary, moving} targets on an 8-node cluster.
+/// strategies × {stationary, moving} targets on an 8-node cluster, and
+/// assert the cache's claim on the row that shows it most: a stationary
+/// target under Broadcast with the cache on stays at hit rate ≥ 99 % and
+/// ≤ 3 locate msgs/raise (one hinted probe + its receipt; 25.5 with the
+/// cache off). Raise latency on the warm path is `benchmark/`'s
+/// `unicast_warm` workload (see `benchmark/README.md`).
 ///
 /// # Errors
 ///
 /// Cluster construction/spawn failures.
+///
+/// # Panics
+///
+/// Panics if the stationary Broadcast cache-on row misses that bound.
 pub fn run_cache_sweep() -> Result<Vec<CacheRow>, KernelError> {
     let mut rows = Vec::new();
     for moving in [false, true] {
@@ -433,6 +422,17 @@ pub fn run_cache_sweep() -> Result<Vec<CacheRow>, KernelError> {
             }
         }
     }
+    let warm = rows
+        .iter()
+        .find(|r| r.strategy == LocatorStrategy::Broadcast && r.cache && r.workload == "stationary")
+        .expect("the sweep covers stationary Broadcast with the cache on");
+    assert!(
+        warm.hit_rate >= 0.99 && warm.locate_msgs_per_raise <= 3.0,
+        "E2c claim: stationary Broadcast-8 with the cache on must hit ≥99% at \
+         ≤3 locate msgs/raise, got {:.1}% and {:.2}",
+        warm.hit_rate * 100.0,
+        warm.locate_msgs_per_raise
+    );
     Ok(rows)
 }
 
@@ -446,8 +446,6 @@ pub fn cache_table(rows: &[CacheRow]) -> Table {
             "workload",
             "locate/raise",
             "unicasts/raise",
-            "p50",
-            "p99",
             "hit rate",
             "stale",
             "failed",
@@ -460,45 +458,12 @@ pub fn cache_table(rows: &[CacheRow]) -> Table {
             r.workload.to_string(),
             format!("{:.1}", r.locate_msgs_per_raise),
             format!("{:.2}", r.hint_unicasts_per_raise),
-            format!("{:.1?}", Duration::from_secs_f64(r.p50_us / 1e6)),
-            format!("{:.1?}", Duration::from_secs_f64(r.p99_us / 1e6)),
             format!("{:.0}%", r.hit_rate * 100.0),
             r.stale.to_string(),
             r.failed.to_string(),
         ]);
     }
     t
-}
-
-/// The cache sweep as machine-readable JSON (`BENCH_e2_locate.json`):
-/// probe traffic per raise plus p50/p99 raise latency per configuration,
-/// the perf trajectory future changes are compared against.
-pub fn cache_json(rows: &[CacheRow]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"e2_locate\",\n  \"nodes\": 8,\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"strategy\": \"{:?}\", \"cache\": {}, \"workload\": \"{}\", \
-             \"raises\": {}, \"delivered\": {}, \"failed\": {}, \
-             \"locate_msgs_per_raise\": {:.2}, \"hint_unicasts_per_raise\": {:.2}, \
-             \"p50_raise_us\": {:.1}, \"p99_raise_us\": {:.1}, \
-             \"cache_hit_rate\": {:.3}, \"stale_fallbacks\": {}}}{}\n",
-            r.strategy,
-            r.cache,
-            r.workload,
-            r.raises,
-            r.delivered,
-            r.failed,
-            r.locate_msgs_per_raise,
-            r.hint_unicasts_per_raise,
-            r.p50_us,
-            r.p99_us,
-            r.hit_rate,
-            r.stale,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// Render the moving-target ablation.

@@ -8,15 +8,18 @@
 //! * **E1** reproduces the paper's table as a *conformance* experiment —
 //!   the same six calls, with measured recipient sets and blocking
 //!   behaviour;
-//! * **E2–E11** are *designed* experiments, each quantifying a specific
-//!   qualitative claim the paper makes, with the claim quoted in the
-//!   module docs.
+//! * **E2–E15** are *designed* experiments, each quantifying a specific
+//!   qualitative claim the paper (or this reproduction's transport and
+//!   kernel) makes, with the claim quoted in the module docs.
 //!
 //! Each experiment is a function returning printable rows; the
 //! `experiments` binary runs them (`cargo run -p doct-bench --release
 //! --bin experiments -- all`) and EXPERIMENTS.md records the output.
-//! Criterion microbenches for the timing-sensitive pieces live in
-//! `benches/`.
+//! What an experiment owns is its deterministic *counts* (messages per
+//! raise, hit rates, copied bytes), asserted in code where they carry a
+//! claim. Raise latency and throughput are timed by the standalone
+//! `benchmark/` crate wherever it has a workload on the same path; only
+//! E13 (overload shedding) and E14 (`reactors > 1`) time their own runs.
 
 pub mod e10_interest_lists;
 pub mod e11_partition_heal;

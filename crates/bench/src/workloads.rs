@@ -63,14 +63,6 @@ pub fn register_classes(cluster: &Cluster) {
     );
 }
 
-/// Create one `plain` object per listed home node.
-pub fn plain_objects(cluster: &Cluster, homes: &[u32]) -> Result<Vec<ObjectId>, KernelError> {
-    homes
-        .iter()
-        .map(|&h| cluster.create_object(ObjectConfig::new("plain", NodeId(h))))
-        .collect()
-}
-
 /// Spawn a thread whose tip ends up sleeping `hops` nodes away from its
 /// root (node 0 → 1 → … → hops). Returns the handle; give it ~50 ms to
 /// reach the tail.

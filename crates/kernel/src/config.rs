@@ -145,14 +145,6 @@ impl KernelConfig {
         }
     }
 
-    /// This config with the given location-cache tuning.
-    pub fn with_location_cache(self, location_cache: LocationCacheConfig) -> Self {
-        KernelConfig {
-            location_cache,
-            ..self
-        }
-    }
-
     /// This config with the given mailbox bounds (E13 uses tiny lanes to
     /// force shedding at modest arrival rates).
     pub fn with_mailbox(self, mailbox: MailboxConfig) -> Self {

@@ -495,14 +495,14 @@ impl NodeKernel {
             };
             match locator {
                 LocatorStrategy::Broadcast => {
-                    self.net().stats().record_broadcast();
+                    self.net().stats().broadcasts.inc();
                     for dst in self.net().nodes() {
                         enqueue(dst, probe.clone());
                     }
                 }
                 LocatorStrategy::PathTrace => enqueue(target.root, probe),
                 LocatorStrategy::Multicast => {
-                    self.net().stats().record_multicast();
+                    self.net().stats().multicasts.inc();
                     let group = target.multicast_group();
                     for dst in self.net().multicast_registry().members(group) {
                         enqueue(dst, probe.clone());

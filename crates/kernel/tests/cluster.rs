@@ -996,15 +996,15 @@ fn reliable_invocation_survives_a_transient_partition() {
     cluster.net().heal();
     let r = handle.join_timeout(Duration::from_secs(10)).expect("done");
     assert_eq!(r.unwrap(), Value::Int(1), "retransmit carried the call");
-    assert!(cluster.net().stats().retransmits() > 0);
+    assert!(cluster.net().stats().retransmits.get() > 0);
     // ACKs are coalesced by the maintenance thread, so the reply can land
     // before the first ACK message goes out — wait briefly instead of
     // sampling the counter at one instant.
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while cluster.net().stats().acks() == 0 && std::time::Instant::now() < deadline {
+    while cluster.net().stats().acks.get() == 0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert!(cluster.net().stats().acks() > 0);
+    assert!(cluster.net().stats().acks.get() > 0);
 }
 
 #[test]

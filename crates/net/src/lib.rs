@@ -16,8 +16,9 @@
 //!   proposes multicast groups for thread location).
 //! * [`LatencyModel`] — zero, fixed, or jittered per-message delay,
 //!   implemented by a delay-line thread so senders never block.
-//! * [`NetStats`] — atomic counters (messages/bytes, per
-//!   [`MessageClass`]) that benches reset and read.
+//! * [`NetStats`] — atomic counter handles (messages/bytes per
+//!   [`MessageClass`], plus the reliability, batching and pool series)
+//!   that experiments snapshot before and after a region and diff.
 //! * Partition control — links can be cut ([`Network::set_link`],
 //!   [`Network::isolate`], one-way via [`Network::set_link_one_way`]) to
 //!   inject failures.

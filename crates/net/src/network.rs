@@ -114,21 +114,11 @@ impl<M: Send + 'static> DeliveryPath<M> {
             .unwrap_or(false)
     }
 
-    /// Acknowledge `seq` back to the sender. On the coalescing path the
-    /// ack is buffered and flushed cumulatively by the maintenance thread
-    /// (which checks the reverse link then); otherwise it retires the
-    /// entry immediately, but only if the reverse link is up right now —
-    /// either way a one-way partition loses acks like a real network.
-    fn ack_back(&self, rel: &ReliableState<M>, src: NodeId, dst: NodeId, seq: u64) {
-        if rel.coalescing() {
-            rel.note_ack(src, dst, seq);
-        } else if self.link_up(dst, src) {
-            rel.ack(seq, &self.stats);
-        }
-    }
-
     /// Deliver `transfer` into its destination mailbox. Reliable
-    /// transfers (`seq != 0`) are deduplicated and acknowledged here;
+    /// transfers (`seq != 0`) are deduplicated and acknowledged here (the
+    /// ack is buffered; the maintenance thread flushes it cumulatively
+    /// and checks the reverse link then, so a one-way partition loses
+    /// acks like a real network);
     /// batches are unpacked into one mailbox envelope per payload, each
     /// stamped with the batch's seq, after the single dedupe decision —
     /// so a retransmitted batch is suppressed whole and exactly-once
@@ -144,7 +134,7 @@ impl<M: Send + 'static> DeliveryPath<M> {
         let reliable = self.reliable.read().clone();
         let reliable = match (seq, reliable) {
             (0, Some(_)) => {
-                self.stats.record_wire_reject();
+                self.stats.wire_rejects.inc();
                 return false;
             }
             (0, None) => None,
@@ -152,10 +142,10 @@ impl<M: Send + 'static> DeliveryPath<M> {
         };
         if let Some(rel) = &reliable {
             if !rel.first_delivery(src, dst, seq) {
-                self.stats.record_dup_drop();
+                self.stats.dup_drops.inc();
                 // A duplicate means an earlier copy was delivered but its
                 // ack never made it back; re-ack if the path healed.
-                self.ack_back(rel, src, dst, seq);
+                rel.note_ack(src, dst, seq);
                 // The suppressed copy's chunk buffer is still good.
                 rel.recycle_transfer(transfer, &self.stats);
                 return true;
@@ -197,7 +187,7 @@ impl<M: Send + 'static> DeliveryPath<M> {
             if let Some(rel) = &reliable {
                 rel.unmark(src, dst, seq);
             }
-            self.stats.record_drop();
+            self.stats.dropped.inc();
             return false;
         }
         if let Some(rel) = &reliable {
@@ -207,7 +197,7 @@ impl<M: Send + 'static> DeliveryPath<M> {
                 // back coalesced instead of one by one.
                 rel.arm_response_window(dst, src, payload_count, clock::now());
             }
-            self.ack_back(rel, src, dst, seq);
+            rel.note_ack(src, dst, seq);
         }
         true
     }
@@ -226,9 +216,9 @@ impl<M: Send + 'static> DeliveryPath<M> {
 /// By default the fabric is fire-and-forget: a send racing a cut link is
 /// silently dropped (and counted). [`Network::enable_reliability`] turns
 /// on acknowledged, retried transport with a heartbeat failure detector —
-/// see the `reliable` module docs. With reliability on, batching (the
-/// default) coalesces co-destined payloads into one wire hop; see
-/// [`Network::send_many`] and [`ReliabilityConfig::with_batching`].
+/// see the `reliable` module docs. With reliability on, co-destined
+/// payloads coalesce into one wire hop of up to
+/// [`ReliabilityConfig::batch_max`] payloads; see [`Network::send_many`].
 pub struct Network<M: Send + 'static> {
     path: DeliveryPath<M>,
     mailboxes: Mutex<Vec<Option<Receiver<Envelope<M>>>>>,
@@ -265,61 +255,19 @@ impl<M: Send + 'static> fmt::Debug for Network<M> {
 }
 
 impl<M: WireMessage + Send + 'static> Network<M> {
-    /// Create a fabric of `nodes` nodes with the given latency model.
+    /// Create a simulated fabric of `nodes` nodes with the given latency
+    /// model and unbound counters.
     ///
     /// # Panics
     ///
     /// Panics if `nodes == 0` or the delay-line thread cannot spawn; use
-    /// [`Network::try_new`] to handle spawn failure.
+    /// [`Network::try_with_fabric`] to handle spawn failure (and to bind
+    /// the counters to a telemetry registry).
     pub fn new(nodes: usize, latency: LatencyModel) -> Self {
-        Self::with_stats(nodes, latency, Arc::new(NetStats::new()))
-    }
-
-    /// [`Network::new`] with spawn failure propagated instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`NetworkError::SpawnFailed`] if the delay-line worker thread
-    /// cannot be spawned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes == 0`.
-    pub fn try_new(nodes: usize, latency: LatencyModel) -> Result<Self, NetworkError> {
-        Self::try_with_stats(nodes, latency, Arc::new(NetStats::new()))
-    }
-
-    /// Create a fabric whose counters live in `stats` (typically
-    /// [`NetStats::bound`] to a telemetry registry, so network traffic
-    /// shows up in metric snapshots).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes == 0` or the delay-line thread cannot spawn; use
-    /// [`Network::try_with_stats`] to handle spawn failure.
-    pub fn with_stats(nodes: usize, latency: LatencyModel, stats: Arc<NetStats>) -> Self {
-        Self::try_with_stats(nodes, latency, stats).expect("spawn fabric worker threads")
-    }
-
-    /// [`Network::with_stats`] with spawn failure propagated instead of
-    /// panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`NetworkError::SpawnFailed`] if the delay-line worker thread
-    /// cannot be spawned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes == 0`.
-    pub fn try_with_stats(
-        nodes: usize,
-        latency: LatencyModel,
-        stats: Arc<NetStats>,
-    ) -> Result<Self, NetworkError> {
-        Self::build(nodes, stats, |path, _| {
+        Self::build(nodes, Arc::new(NetStats::new()), |path, _| {
             Ok(Box::new(SimFabric::new(path.clone(), latency)?))
         })
+        .expect("spawn fabric worker threads")
     }
 
     /// Shared constructor: wire up the transport-independent state, then
@@ -362,9 +310,11 @@ impl<M: WireMessage + Send + 'static> Network<M> {
 }
 
 impl<M: WireMessage + WireCodec + Send + 'static> Network<M> {
-    /// Create a fabric on an explicit backend ([`FabricSpec`]). The
-    /// `WireCodec` bound exists because the UDP backend must be able to
-    /// put `M` on a real wire; [`Network::try_with_stats`] stays
+    /// Create a fabric on an explicit backend ([`FabricSpec`]) whose
+    /// counters live in `stats` (typically [`NetStats::bound`] to a
+    /// telemetry registry, so network traffic shows up in metric
+    /// snapshots). The `WireCodec` bound exists because the UDP backend
+    /// must be able to put `M` on a real wire; [`Network::new`] stays
     /// available for codec-less payload types on the simulated backend.
     ///
     /// # Errors
@@ -408,11 +358,6 @@ impl<M: Send + 'static> Network<M> {
         &self.path.stats
     }
 
-    /// A clonable handle to the statistics counters.
-    pub fn stats_handle(&self) -> Arc<NetStats> {
-        Arc::clone(&self.path.stats)
-    }
-
     /// Multicast group membership service.
     pub fn multicast_registry(&self) -> &MulticastRegistry {
         &self.multicast
@@ -444,7 +389,7 @@ impl<M: Send + 'static> Network<M> {
     /// [`Network::peer_pressured`] reports `peer` as pressured for the
     /// next `hold`. Repeated signals extend the hold.
     pub fn note_backpressure(&self, peer: NodeId, hold: Duration) {
-        self.path.stats.record_backpressure();
+        self.path.stats.backpressure_signals.inc();
         let until = clock::now() + hold;
         let mut pressure = self.pressure.lock();
         let entry = pressure.entry(peer).or_insert(until);
@@ -479,11 +424,6 @@ impl<M: Send + 'static> Network<M> {
             .as_ref()
             .map(|r| r.inflight_len())
             .unwrap_or(0)
-    }
-
-    /// The failure detector, if reliability is enabled.
-    pub fn failure_detector(&self) -> Option<Arc<FailureDetector>> {
-        self.detector.read().clone()
     }
 
     /// `observer`'s current verdict about `peer`, if a failure detector
@@ -524,8 +464,8 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
     /// says so. With [`Network::enable_reliability`] on, the payload is
     /// stamped with a sequence number and tracked until acknowledged, so
     /// `Sent` means "queued; the fabric will keep trying" — even across a
-    /// link that is down right now. With batching on, a payload may ride
-    /// a [`crate::BatchEnvelope`] with other co-destined traffic; a send
+    /// link that is down right now. A reliable payload may ride a
+    /// [`crate::BatchEnvelope`] with other co-destined traffic; a send
     /// into an idle direction always flushes immediately, so singleton
     /// sends pay no batching latency.
     ///
@@ -546,7 +486,7 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
         match reliable {
             None => {
                 if !self.path.link_up(src, dst) {
-                    self.path.stats.record_drop();
+                    self.path.stats.dropped.inc();
                     return Ok(SendOutcome::DroppedLink);
                 }
                 self.path.stats.record_send(class, payload.wire_size());
@@ -561,22 +501,10 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
             }
             Some(rel) => {
                 self.path.stats.record_send(class, payload.wire_size());
-                if rel.coalescing() {
-                    let transfers =
-                        rel.enqueue(src, dst, [(class, payload)], clock::now(), &self.path.stats);
-                    for t in transfers {
-                        self.dispatch(t);
-                    }
-                } else {
-                    let env = Envelope {
-                        src,
-                        dst,
-                        class,
-                        seq: rel.alloc_seq(),
-                        payload,
-                    };
-                    rel.track(Transfer::Single(env.clone()));
-                    self.dispatch(Transfer::Single(env));
+                let transfers =
+                    rel.enqueue(src, dst, [(class, payload)], clock::now(), &self.path.stats);
+                for t in transfers {
+                    self.dispatch(t);
                 }
                 Ok(SendOutcome::Sent)
             }
@@ -585,11 +513,12 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
 
     /// Send many co-destined payloads from `src` to `dst` in one call.
     ///
-    /// With reliability + batching on, the payloads coalesce into
+    /// With reliability on, the payloads coalesce into
     /// [`crate::BatchEnvelope`]s — one sequence number and one wire hop
     /// per `batch_max`-sized chunk — and share the batch's retransmission
-    /// fate. Otherwise this degenerates to a [`Network::send`] per
-    /// payload, and the worst per-payload outcome is returned.
+    /// fate. On the best-effort fabric this degenerates to a
+    /// [`Network::send`] per payload, and the worst per-payload outcome
+    /// is returned.
     ///
     /// # Errors
     ///
@@ -608,7 +537,7 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
         parking_lot::lockdep::blocking_point("net::send_many");
         let reliable = self.path.reliable.read().clone();
         match reliable {
-            Some(rel) if rel.coalescing() => {
+            Some(rel) => {
                 for (class, payload) in &items {
                     self.path.stats.record_send(*class, payload.wire_size());
                 }
@@ -618,7 +547,7 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
                 }
                 Ok(SendOutcome::Sent)
             }
-            _ => {
+            None => {
                 let mut worst = SendOutcome::Sent;
                 for (class, payload) in items {
                     let outcome = self.send(src, dst, payload, class)?;
@@ -645,7 +574,7 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
         payload: M,
         class: MessageClass,
     ) -> Result<SendOutcome, NetworkError> {
-        self.path.stats.record_hint_unicast();
+        self.path.stats.hint_unicasts.inc();
         self.send(src, dst, payload, class)
     }
 
@@ -656,7 +585,7 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
         if self.path.link_up(transfer.src(), transfer.dst()) {
             self.transmit(transfer);
         } else {
-            self.path.stats.record_drop();
+            self.path.stats.dropped.inc();
             // The lost attempt's chunk buffer is recycled; the
             // retransmit queue owns its own tracked copy.
             if let Some(rel) = self.path.reliable.read().clone() {
@@ -669,7 +598,7 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
     /// (delay line / direct mailbox push for sim, a datagram for UDP).
     /// Counts one wire message however many payloads ride the transfer.
     fn transmit(&self, transfer: Transfer<M>) -> SendOutcome {
-        self.path.stats.record_wire_msg();
+        self.path.stats.wire_msgs.inc();
         self.fabric.transmit(transfer)
     }
 
@@ -707,13 +636,13 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
             *slot = Some(Arc::clone(&rel));
             rel
         };
-        let (heartbeats, suspects, deaths) = self.path.stats.detector_counters();
+        let stats = &self.path.stats;
         let detector = Arc::new(FailureDetector::new(
             self.node_count(),
             failure,
-            heartbeats,
-            suspects,
-            deaths,
+            stats.heartbeats.clone(),
+            stats.suspects.clone(),
+            stats.deaths.clone(),
         ));
         *self.detector.write() = Some(Arc::clone(&detector));
 
@@ -744,18 +673,18 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
                     rel.flush_acks(|a, b| net.path.link_up(a, b), &net.path.stats);
                     let (due, given_up) = rel.take_due(now);
                     for transfer in due {
-                        net.path.stats.record_retransmit();
+                        net.path.stats.retransmits.inc();
                         if net.path.link_up(transfer.src(), transfer.dst()) {
                             net.transmit(transfer);
                         } else {
-                            net.path.stats.record_drop();
+                            net.path.stats.dropped.inc();
                             // The undeliverable copy's chunk goes back
                             // to the pool; the tracked entry survives.
                             rel.recycle_transfer(transfer, &net.path.stats);
                         }
                     }
                     for transfer in given_up {
-                        net.path.stats.record_giveup();
+                        net.path.stats.giveups.inc();
                         detector.note_unreachable(transfer.src(), transfer.dst());
                         // Abandoned entries retire their chunk buffers.
                         rel.recycle_transfer(transfer, &net.path.stats);
@@ -810,7 +739,7 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
         class: MessageClass,
     ) -> Result<usize, NetworkError> {
         self.check_node(src)?;
-        self.path.stats.record_broadcast();
+        self.path.stats.broadcasts.inc();
         let dsts: Vec<NodeId> = self.nodes().filter(|&dst| dst != src).collect();
         self.fan_out(src, dsts, payload, class)
     }
@@ -831,7 +760,7 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
         class: MessageClass,
     ) -> Result<usize, NetworkError> {
         self.check_node(src)?;
-        self.path.stats.record_multicast();
+        self.path.stats.multicasts.inc();
         let dsts: Vec<NodeId> = self
             .multicast
             .members(group)
@@ -982,7 +911,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         assert!(!net.peer_pressured(NodeId(2)), "hold expired");
         assert!(net.peer_pressured(NodeId(1)), "longer hold still active");
-        assert_eq!(net.stats().backpressure_signals(), 2);
+        assert_eq!(net.stats().backpressure_signals.get(), 2);
     }
 
     #[test]
@@ -1036,7 +965,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(net.stats().broadcasts(), 1);
+        assert_eq!(net.stats().broadcasts.get(), 1);
         assert_eq!(net.stats().sent(MessageClass::Locate), 3);
     }
 
@@ -1056,7 +985,7 @@ mod tests {
         assert!(rx1.recv_timeout(Duration::from_secs(1)).is_ok());
         assert!(rx3.recv_timeout(Duration::from_secs(1)).is_ok());
         assert!(rx2.try_recv().is_err());
-        assert_eq!(net.stats().multicasts(), 1);
+        assert_eq!(net.stats().multicasts.get(), 1);
     }
 
     #[test]
@@ -1122,8 +1051,12 @@ mod tests {
             .unwrap();
         assert_eq!(outcome, SendOutcome::DroppedLink);
         assert!(rx.try_recv().is_err());
-        assert_eq!(net.stats().dropped(), 1);
-        assert_eq!(net.stats().total_sent(), 0, "drops are not sends");
+        assert_eq!(net.stats().dropped.get(), 1);
+        assert_eq!(
+            net.stats().snapshot().total_sent(),
+            0,
+            "drops are not sends"
+        );
         net.heal();
         assert!(net
             .send(NodeId(0), NodeId(1), "x".into(), MessageClass::Data)
@@ -1199,12 +1132,12 @@ mod tests {
             net.send(NodeId(0), NodeId(1), "x".into(), MessageClass::Data)
                 .unwrap();
         }
-        assert_eq!(net.stats().wire_msgs(), 3);
+        assert_eq!(net.stats().wire_msgs.get(), 3);
         net.set_link(NodeId(0), NodeId(1), false).unwrap();
         net.send(NodeId(0), NodeId(1), "x".into(), MessageClass::Data)
             .unwrap();
         assert_eq!(
-            net.stats().wire_msgs(),
+            net.stats().wire_msgs.get(),
             3,
             "a link drop never hits the wire"
         );
@@ -1304,8 +1237,8 @@ mod reliability_tests {
         assert!(await_cond(Duration::from_secs(2), || {
             net.pending_reliable() == 0
         }));
-        assert_eq!(net.stats().acks(), 1);
-        assert_eq!(net.stats().ack_latency().count(), 1);
+        assert_eq!(net.stats().acks.get(), 1);
+        assert_eq!(net.stats().ack_latency.count(), 1);
     }
 
     #[test]
@@ -1323,7 +1256,7 @@ mod reliability_tests {
         );
         std::thread::sleep(Duration::from_millis(60));
         assert!(rx.try_recv().is_err(), "nothing crosses a cut link");
-        assert!(net.stats().retransmits() > 0, "the queue kept trying");
+        assert!(net.stats().retransmits.get() > 0, "the queue kept trying");
         net.heal();
         let env = rx.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(env.payload, "survivor");
@@ -1348,7 +1281,7 @@ mod reliability_tests {
             "once"
         );
         assert!(
-            await_cond(Duration::from_secs(2), || net.stats().dup_drops() > 0),
+            await_cond(Duration::from_secs(2), || net.stats().dup_drops.get() > 0),
             "unacked envelope is retransmitted and suppressed as duplicate"
         );
         assert!(rx.try_recv().is_err(), "the kernel never sees the dups");
@@ -1358,7 +1291,7 @@ mod reliability_tests {
         assert!(await_cond(Duration::from_secs(2), || {
             net.pending_reliable() == 0
         }));
-        assert!(net.stats().acks() >= 1);
+        assert!(net.stats().acks.get() >= 1);
     }
 
     #[test]
@@ -1384,7 +1317,7 @@ mod reliability_tests {
         net.send(NodeId(0), NodeId(1), "doomed".into(), MessageClass::Data)
             .unwrap();
         assert!(
-            await_cond(Duration::from_secs(2), || net.stats().giveups() == 1),
+            await_cond(Duration::from_secs(2), || net.stats().giveups.get() == 1),
             "entry abandoned after max_retries"
         );
         assert_eq!(net.pending_reliable(), 0);
@@ -1449,8 +1382,8 @@ mod reliability_tests {
             Some(PeerState::Alive),
             "nodes on the same side stay alive"
         );
-        assert!(net.stats().suspects() >= 2);
-        assert!(net.stats().deaths() >= 2);
+        assert!(net.stats().suspects.get() >= 2);
+        assert!(net.stats().deaths.get() >= 2);
         net.heal();
         assert!(
             await_cond(Duration::from_secs(3), || {
@@ -1495,9 +1428,13 @@ mod reliability_tests {
         let got: Vec<_> = (0..5)
             .map(|_| rx.recv_timeout(Duration::from_secs(1)).unwrap())
             .collect();
-        assert_eq!(net.stats().wire_msgs(), 1, "five payloads, one wire hop");
-        assert_eq!(net.stats().batches_sent(), 1);
-        assert_eq!(net.stats().batch_fill().max_ns(), 5);
+        assert_eq!(
+            net.stats().wire_msgs.get(),
+            1,
+            "five payloads, one wire hop"
+        );
+        assert_eq!(net.stats().batches_sent.get(), 1);
+        assert_eq!(net.stats().batch_fill.max_ns(), 5);
         let seqs: HashSet<u64> = got.iter().map(|e| e.seq).collect();
         assert_eq!(seqs.len(), 1, "all payloads share the batch seq");
         let payloads: HashSet<String> = got.into_iter().map(|e| e.payload).collect();
@@ -1505,14 +1442,17 @@ mod reliability_tests {
         assert!(await_cond(Duration::from_secs(2), || {
             net.pending_reliable() == 0
         }));
-        assert_eq!(net.stats().acks(), 1, "one ack retires the whole batch");
+        assert_eq!(net.stats().acks.get(), 1, "one ack retires the whole batch");
     }
 
     #[test]
-    fn batching_off_sends_each_payload_separately() {
+    fn batch_max_one_sends_each_payload_separately() {
         let net = Arc::new(Network::<String>::new(2, LatencyModel::Zero));
-        net.enable_reliability(fast_cfg().with_batching(false), fast_failure())
-            .unwrap();
+        let off = ReliabilityConfig {
+            batch_max: 1,
+            ..fast_cfg()
+        };
+        net.enable_reliability(off, fast_failure()).unwrap();
         let rx = net.take_mailbox(NodeId(1)).unwrap();
         let items: Vec<(MessageClass, String)> = (0..5)
             .map(|i| (MessageClass::Locate, format!("p{i}")))
@@ -1521,8 +1461,12 @@ mod reliability_tests {
         for _ in 0..5 {
             rx.recv_timeout(Duration::from_secs(1)).unwrap();
         }
-        assert_eq!(net.stats().wire_msgs(), 5, "ablation: one hop per payload");
-        assert_eq!(net.stats().batches_sent(), 0);
+        assert_eq!(
+            net.stats().wire_msgs.get(),
+            5,
+            "ablation: one hop per payload"
+        );
+        assert_eq!(net.stats().batches_sent.get(), 0);
         assert!(await_cond(Duration::from_secs(2), || {
             net.pending_reliable() == 0
         }));
@@ -1542,7 +1486,7 @@ mod reliability_tests {
             rx.recv_timeout(Duration::from_secs(1)).unwrap();
         }
         assert!(
-            await_cond(Duration::from_secs(2), || net.stats().dup_drops() > 0),
+            await_cond(Duration::from_secs(2), || net.stats().dup_drops.get() > 0),
             "retransmitted batch suppressed by its single seq"
         );
         assert!(
@@ -1585,8 +1529,11 @@ mod reliability_tests {
                 rx2.recv_timeout(Duration::from_secs(1)).unwrap();
             }
         }
-        assert!(net.stats().pool_hits() > 0, "churn reused pooled chunks");
-        assert!(net.stats().pool_recycled() > 0);
+        assert!(
+            net.stats().pool_hits.get() > 0,
+            "churn reused pooled chunks"
+        );
+        assert!(net.stats().pool_recycled.get() > 0);
         // Heal: the stuck batch's retransmit must still carry its
         // original payloads even though the pool recycled dozens of
         // buffers in between — a recycled slot never aliases a batch
@@ -1624,7 +1571,7 @@ mod reliability_tests {
             "singleton flush was not immediate: {:?}",
             t0.elapsed()
         );
-        assert_eq!(net.stats().batches_sent(), 0);
+        assert_eq!(net.stats().batches_sent.get(), 0);
     }
 }
 
@@ -1739,7 +1686,7 @@ mod udp_tests {
             ],
         });
         assert!(!rel.path.deliver(batch), "zero-seq batch is rejected");
-        assert_eq!(rel.stats().wire_rejects(), 2);
+        assert_eq!(rel.stats().wire_rejects.get(), 2);
         assert!(
             rx.recv_timeout(Duration::from_millis(30)).is_err(),
             "no forged payload reaches the mailbox"
@@ -1755,7 +1702,7 @@ mod udp_tests {
             .unwrap();
         let env = rx.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!((env.seq, env.payload.as_str()), (0, "fine"));
-        assert_eq!(plain.stats().wire_rejects(), 0);
+        assert_eq!(plain.stats().wire_rejects.get(), 0);
     }
 
     fn udp_net(n: usize) -> Arc<Network<String>> {
@@ -1774,7 +1721,7 @@ mod udp_tests {
             .unwrap();
         let env = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!((env.src, env.payload.as_str()), (NodeId(0), "over-udp"));
-        assert_eq!(net.stats().wire_msgs(), 1);
+        assert_eq!(net.stats().wire_msgs.get(), 1);
     }
 
     #[test]
@@ -1803,7 +1750,7 @@ mod udp_tests {
         let _rx0 = net.take_mailbox(NodeId(0)).unwrap();
         let _rx1 = net.take_mailbox(NodeId(1)).unwrap();
         assert!(
-            await_cond(Duration::from_secs(5), || net.stats().heartbeats() > 0),
+            await_cond(Duration::from_secs(5), || net.stats().heartbeats.get() > 0),
             "real probe datagrams are exchanged"
         );
         net.set_link(NodeId(0), NodeId(1), false).unwrap();
@@ -1836,7 +1783,8 @@ mod udp_tests {
         hostile.send_to(b"not a frame", victim_addr).expect("send");
         hostile.send_to(&[0u8; 3], victim_addr).expect("send");
         assert!(
-            await_cond(Duration::from_secs(5), || net.stats().codec_errors() >= 2),
+            await_cond(Duration::from_secs(5), || net.stats().codec_errors.get()
+                >= 2),
             "garbage datagrams land in net.codec_errors"
         );
         // The fabric keeps serving legitimate traffic afterwards.

@@ -59,11 +59,11 @@ impl<T> BufferPool<T> {
         let recycled = self.free.lock().pop();
         match recycled {
             Some(buf) => {
-                stats.record_pool_hit();
+                stats.pool_hits.inc();
                 buf
             }
             None => {
-                stats.record_pool_miss();
+                stats.pool_misses.inc();
                 Vec::new()
             }
         }
@@ -82,7 +82,7 @@ impl<T> BufferPool<T> {
         if free.len() < self.retain {
             free.push(buf);
             drop(free);
-            stats.record_pool_recycle();
+            stats.pool_recycled.inc();
         }
     }
 
@@ -102,14 +102,14 @@ mod tests {
         let pool: BufferPool<u32> = BufferPool::default();
         let stats = NetStats::new();
         let mut buf = pool.take(&stats);
-        assert_eq!(stats.pool_misses(), 1);
+        assert_eq!(stats.pool_misses.get(), 1);
         buf.extend([1, 2, 3, 4]);
         let cap = buf.capacity();
         pool.recycle(buf, &stats);
-        assert_eq!(stats.pool_recycled(), 1);
+        assert_eq!(stats.pool_recycled.get(), 1);
         assert_eq!(pool.free_len(), 1);
         let again = pool.take(&stats);
-        assert_eq!(stats.pool_hits(), 1);
+        assert_eq!(stats.pool_hits.get(), 1);
         assert!(again.is_empty(), "recycled buffers come back cleared");
         assert_eq!(again.capacity(), cap, "capacity survives the round trip");
     }
@@ -120,7 +120,7 @@ mod tests {
         let stats = NetStats::new();
         pool.recycle(Vec::new(), &stats);
         assert_eq!(pool.free_len(), 0);
-        assert_eq!(stats.pool_recycled(), 0);
+        assert_eq!(stats.pool_recycled.get(), 0);
     }
 
     #[test]
@@ -131,6 +131,6 @@ mod tests {
             pool.recycle(Vec::with_capacity(4), &stats);
         }
         assert_eq!(pool.free_len(), DEFAULT_RETAIN);
-        assert_eq!(stats.pool_recycled(), DEFAULT_RETAIN as u64);
+        assert_eq!(stats.pool_recycled.get(), DEFAULT_RETAIN as u64);
     }
 }

@@ -5,8 +5,8 @@
 //! is stamped with a cluster-unique non-zero sequence number and tracked
 //! in a retransmit queue. Delivery into the destination mailbox generates
 //! a (simulated) acknowledgement that retires the entry — but only if the
-//! reverse link is up when the ack goes out, so a one-way partition loses
-//! ACKs exactly like a real network. Unacked entries are retransmitted
+//! reverse link is up when the ack is flushed, so a one-way partition
+//! loses ACKs exactly like a real network. Unacked entries are retransmitted
 //! with exponential backoff plus seeded jitter until `max_retries`
 //! attempts, after which the entry is abandoned (`net.giveups`) and the
 //! failure detector is told. The receiver deduplicates by sequence
@@ -15,9 +15,10 @@
 //!
 //! # Batched fan-out
 //!
-//! With batching on (the default), co-destined payloads coalesce in a
-//! per-(src, dst) accumulation buffer and cross the wire as one
-//! [`BatchEnvelope`] under one sequence number — one tracked entry, one
+//! Co-destined payloads coalesce in a per-(src, dst) accumulation buffer
+//! and cross the wire as one [`BatchEnvelope`] of up to `batch_max`
+//! payloads (`batch_max = 1` is the no-batching ablation: every payload
+//! seals alone, through the same slot code) under one sequence number — one tracked entry, one
 //! retransmission unit, one dedupe decision. A buffer with no flush
 //! deadline pending flushes immediately (so singleton sends pay zero
 //! added latency); a deadline only exists while a *response window* is
@@ -63,11 +64,9 @@ pub struct ReliabilityConfig {
     /// would be re-delivered, so this must exceed the retransmit window.
     /// Enforced by [`ReliabilityConfig::validate`] at enable time.
     pub dedupe_window: usize,
-    /// Coalesce co-destined payloads into [`BatchEnvelope`]s and use
-    /// cumulative acks. On by default; switch off with
-    /// [`ReliabilityConfig::with_batching`] for ablation.
-    pub batching: bool,
-    /// Most payloads per sealed batch (the size flush threshold).
+    /// Most payloads per sealed [`BatchEnvelope`] (the size flush
+    /// threshold). `1` switches coalescing off: every payload crosses
+    /// the wire alone.
     pub batch_max: usize,
     /// How long a response window holds payloads before the deadline
     /// flush. Only armed traffic waits; singleton sends with no window
@@ -89,7 +88,6 @@ impl Default for ReliabilityConfig {
             tick: Duration::from_millis(5),
             heartbeat_interval: Duration::from_millis(20),
             dedupe_window: 1024,
-            batching: true,
             batch_max: 32,
             batch_deadline: Duration::from_millis(1),
             rng_seed: None,
@@ -98,12 +96,6 @@ impl Default for ReliabilityConfig {
 }
 
 impl ReliabilityConfig {
-    /// Builder-style ablation switch for the batched fan-out path.
-    pub fn with_batching(mut self, on: bool) -> Self {
-        self.batching = on;
-        self
-    }
-
     /// Check the config for footguns. The fabric refuses to enable
     /// reliability on an invalid config instead of silently risking
     /// duplicate delivery.
@@ -112,8 +104,8 @@ impl ReliabilityConfig {
     ///
     /// A static description of the first violated constraint:
     /// `dedupe_window` must cover the retransmit window (at least
-    /// `4 * (max_retries + 1)` seqs) and, with batching on, at least
-    /// `4 * batch_max`; `batch_max` must be non-zero.
+    /// `4 * (max_retries + 1)` seqs) and at least `4 * batch_max`;
+    /// `batch_max` must be non-zero.
     pub fn validate(&self) -> Result<(), &'static str> {
         let retransmit_floor = 4 * (self.max_retries as usize + 1);
         if self.dedupe_window < retransmit_floor {
@@ -121,15 +113,13 @@ impl ReliabilityConfig {
                  (need at least 4 * (max_retries + 1)): late retransmissions \
                  of an evicted seq would be re-delivered");
         }
-        if self.batching {
-            if self.batch_max == 0 {
-                return Err("batch_max must be at least 1 when batching is on");
-            }
-            if self.dedupe_window < 4 * self.batch_max {
-                return Err("dedupe_window must be at least 4 * batch_max: a burst of \
-                     max-fill batches would evict seqs still in the \
-                     retransmit window");
-            }
+        if self.batch_max == 0 {
+            return Err("batch_max must be at least 1");
+        }
+        if self.dedupe_window < 4 * self.batch_max {
+            return Err("dedupe_window must be at least 4 * batch_max: a burst of \
+                 max-fill batches would evict seqs still in the \
+                 retransmit window");
         }
         Ok(())
     }
@@ -205,11 +195,9 @@ pub(crate) struct ReliableState<M> {
     inflight: Mutex<HashMap<u64, Inflight<M>>>,
     /// Keyed by (src, dst) so each direction dedupes independently.
     seen: Mutex<HashMap<(u32, u32), SeenWindow>>,
-    /// Per-direction accumulation buffers (batching only).
+    /// Per-direction accumulation buffers.
     slots: Mutex<HashMap<(u32, u32), BatchSlot<M>>>,
-    /// Delivered-but-unflushed ack seqs per (src, dst) data direction
-    /// (batching only; the immediate [`ReliableState::ack`] path is used
-    /// when batching is off).
+    /// Delivered-but-unflushed ack seqs per (src, dst) data direction.
     pending_acks: Mutex<HashMap<(u32, u32), Vec<u64>>>,
     /// Free-list pool for sealed batch chunks (DESIGN.md §3g). Chunks
     /// are taken at seal time and recycled on ACK-retire, give-up, and
@@ -254,16 +242,6 @@ impl<M> ReliableState<M> {
         }
     }
 
-    /// Whether the batched fan-out + cumulative-ack path is active.
-    pub(crate) fn coalescing(&self) -> bool {
-        self.cfg.batching
-    }
-
-    /// Allocate the next transport sequence number (never 0).
-    pub(crate) fn alloc_seq(&self) -> u64 {
-        self.next_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Envelopes currently awaiting acknowledgement.
     pub(crate) fn inflight_len(&self) -> usize {
         self.inflight.lock().len()
@@ -285,41 +263,8 @@ impl<M> ReliableState<M> {
         *woken = false;
     }
 
-    /// Start tracking `transfer` for retransmission.
-    pub(crate) fn track(&self, transfer: Transfer<M>) {
-        debug_assert_ne!(transfer.seq(), 0, "reliable transfers carry non-zero seqs");
-        let now = crate::clock::now();
-        let backoff = self.cfg.base_backoff;
-        self.inflight.lock().insert(
-            transfer.seq(),
-            Inflight {
-                transfer,
-                attempts: 0,
-                backoff,
-                next_retry: now + backoff,
-                first_sent: now,
-            },
-        );
-        // The new entry's retry deadline may be sooner than whatever the
-        // maintenance thread is currently sleeping toward.
-        self.notify();
-    }
-
-    /// The destination acked `seq` (i.e. it reached the mailbox and the
-    /// reverse link was up): retire the entry and record the ack plus its
-    /// end-to-end latency. This is the immediate (non-coalescing) path.
-    pub(crate) fn ack(&self, seq: u64, stats: &NetStats) {
-        let entry = self.inflight.lock().remove(&seq);
-        if let Some(entry) = entry {
-            stats.record_ack(crate::clock::now().saturating_duration_since(entry.first_sent));
-            // The retransmit queue no longer needs this copy: its chunk
-            // (if it was a batch) goes back to the pool.
-            self.recycle_transfer(entry.transfer, stats);
-        }
-    }
-
     /// Buffer an ack for the (src → dst) data direction; the maintenance
-    /// thread flushes it cumulatively (coalescing path).
+    /// thread flushes it cumulatively.
     pub(crate) fn note_ack(&self, src: NodeId, dst: NodeId, seq: u64) {
         self.pending_acks
             .lock()
@@ -338,7 +283,7 @@ impl<M> ReliableState<M> {
     /// the sorted seqs are grouped into contiguous runs and each run is
     /// retired by one cumulative ack message. A cut reverse link loses
     /// the whole flush (duplicate deliveries will re-buffer them later),
-    /// preserving the one-way-partition semantics of the immediate path.
+    /// so a one-way partition loses acks like a real network.
     pub(crate) fn flush_acks(&self, link_up: impl Fn(NodeId, NodeId) -> bool, stats: &NetStats) {
         let pending = std::mem::take(&mut *self.pending_acks.lock());
         for ((src, dst), mut seqs) in pending {
@@ -362,7 +307,7 @@ impl<M> ReliableState<M> {
                     }
                     prev = Some(seq);
                     if let Some(entry) = inflight.remove(&seq) {
-                        stats.record_ack_rtt(
+                        stats.ack_latency.record(
                             crate::clock::now().saturating_duration_since(entry.first_sent),
                         );
                         run_retired += 1;
@@ -543,9 +488,6 @@ impl<M> ReliableState<M> {
         expect: usize,
         now: Instant,
     ) {
-        if !self.cfg.batching {
-            return;
-        }
         {
             let mut slots = self.slots.lock();
             let slot = slots.entry((src.0, dst.0)).or_default();
@@ -581,7 +523,7 @@ impl<M> ReliableState<M> {
         let mut out = Vec::new();
         let now = crate::clock::now();
         while !slot.buf.is_empty() {
-            let take = slot.buf.len().min(cfg.batch_max.max(1));
+            let take = slot.buf.len().min(cfg.batch_max);
             let mut chunk = pool.take(stats);
             chunk.extend(slot.buf.drain(..take));
             let seq = next_seq.fetch_add(1, Ordering::Relaxed);
@@ -676,39 +618,37 @@ impl<M> ReliableState<M> {
 mod tests {
     use super::*;
 
-    fn env(seq: u64) -> Envelope<u32> {
-        Envelope {
-            src: NodeId(0),
-            dst: NodeId(1),
-            class: MessageClass::Data,
-            seq,
-            payload: 7,
-        }
-    }
-
-    fn single(seq: u64) -> Transfer<u32> {
-        Transfer::Single(env(seq))
-    }
-
     fn state(cfg: ReliabilityConfig) -> ReliableState<u32> {
         ReliableState::new(cfg)
+    }
+
+    /// Seal one singleton n0 → n1, tracked for retransmission; its seq.
+    fn track_one(s: &ReliableState<u32>) -> u64 {
+        let item = [(MessageClass::Data, 7u32)];
+        let now = crate::clock::now();
+        let out = s.enqueue(NodeId(0), NodeId(1), item, now, &NetStats::new());
+        out[0].seq()
     }
 
     #[test]
     fn seqs_are_unique_and_nonzero() {
         let s = state(ReliabilityConfig::default());
-        let a = s.alloc_seq();
-        let b = s.alloc_seq();
+        let a = track_one(&s);
+        let b = track_one(&s);
         assert_ne!(a, 0);
         assert_ne!(a, b);
     }
 
     #[test]
-    fn default_config_validates_and_ablation_switch_works() {
+    fn default_config_and_the_no_batching_ablation_validate() {
         let cfg = ReliabilityConfig::default();
         assert!(cfg.validate().is_ok());
-        assert!(cfg.batching, "batching is on by default");
-        assert!(!cfg.with_batching(false).batching);
+        assert!(cfg.batch_max > 1, "coalescing is on by default");
+        let off = ReliabilityConfig {
+            batch_max: 1,
+            ..cfg
+        };
+        assert!(off.validate().is_ok());
     }
 
     #[test]
@@ -736,24 +676,23 @@ mod tests {
             ..Default::default()
         };
         assert!(cfg.validate().is_err());
-        // The same window is fine with batching off.
-        assert!(cfg.with_batching(false).validate().is_ok());
     }
 
     #[test]
     fn ack_retires_inflight_and_records_latency() {
         let s = state(ReliabilityConfig::default());
         let stats = NetStats::new();
-        let seq = s.alloc_seq();
-        s.track(single(seq));
+        let seq = track_one(&s);
         assert_eq!(s.inflight_len(), 1);
-        s.ack(seq, &stats);
+        s.note_ack(NodeId(0), NodeId(1), seq);
+        s.flush_acks(|_, _| true, &stats);
         assert_eq!(s.inflight_len(), 0);
-        assert_eq!(stats.acks(), 1);
-        assert_eq!(stats.ack_latency().count(), 1);
+        assert_eq!(stats.acks.get(), 1);
+        assert_eq!(stats.ack_latency.count(), 1);
         // A second ack for the same seq (duplicate delivery) is a no-op.
-        s.ack(seq, &stats);
-        assert_eq!(stats.acks(), 1);
+        s.note_ack(NodeId(0), NodeId(1), seq);
+        s.flush_acks(|_, _| true, &stats);
+        assert_eq!(stats.acks.get(), 1);
     }
 
     #[test]
@@ -790,8 +729,7 @@ mod tests {
             ..Default::default()
         };
         let s = state(cfg);
-        let seq = s.alloc_seq();
-        s.track(single(seq));
+        let seq = track_one(&s);
         let t0 = crate::clock::now();
 
         // Not due before base_backoff.
@@ -824,7 +762,7 @@ mod tests {
             let s = state(cfg);
             let t0 = crate::clock::now();
             for _ in 0..8 {
-                s.track(single(s.alloc_seq()));
+                track_one(&s);
             }
             let _ = s.take_due(t0 + Duration::from_secs(1));
             let inflight = s.inflight.lock();
@@ -856,7 +794,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0], Transfer::Single(_)));
         assert_eq!(s.inflight_len(), 1, "the flush is tracked");
-        assert_eq!(stats.batches_sent(), 0, "a singleton is not a batch");
+        assert_eq!(stats.batches_sent.get(), 0, "a singleton is not a batch");
     }
 
     #[test]
@@ -872,8 +810,8 @@ mod tests {
         assert_eq!(b.payloads.len(), 5);
         assert_ne!(b.seq, 0);
         assert_eq!(s.inflight_len(), 1, "one tracked entry for the batch");
-        assert_eq!(stats.batches_sent(), 1);
-        assert_eq!(stats.batch_fill().max_ns(), 5);
+        assert_eq!(stats.batches_sent.get(), 1);
+        assert_eq!(stats.batch_fill.max_ns(), 5);
     }
 
     #[test]
@@ -965,8 +903,7 @@ mod tests {
         let stats = NetStats::new();
         // Track seqs 1..=5, deliver acks for 1,2,3 and 5 (gap at 4).
         for _ in 0..5 {
-            let seq = s.alloc_seq();
-            s.track(single(seq));
+            track_one(&s);
         }
         for seq in [1u64, 2, 3, 5] {
             s.note_ack(NodeId(0), NodeId(1), seq);
@@ -975,27 +912,26 @@ mod tests {
         s.flush_acks(|_, _| true, &stats);
         assert!(!s.has_pending_acks());
         assert_eq!(s.inflight_len(), 1, "seq 4 still awaits its ack");
-        assert_eq!(stats.acks(), 2, "two contiguous runs, two ack messages");
-        assert_eq!(stats.acks_coalesced(), 2, "run of 3 saved 2 acks");
-        assert_eq!(stats.ack_latency().count(), 4, "per-transfer RTTs kept");
+        assert_eq!(stats.acks.get(), 2, "two contiguous runs, two ack messages");
+        assert_eq!(stats.acks_coalesced.get(), 2, "run of 3 saved 2 acks");
+        assert_eq!(stats.ack_latency.count(), 4, "per-transfer RTTs kept");
     }
 
     #[test]
     fn flush_acks_loses_the_flush_on_a_cut_reverse_link() {
         let s = state(ReliabilityConfig::default());
         let stats = NetStats::new();
-        let seq = s.alloc_seq();
-        s.track(single(seq));
+        let seq = track_one(&s);
         s.note_ack(NodeId(0), NodeId(1), seq);
         s.flush_acks(|_, _| false, &stats);
         assert_eq!(s.inflight_len(), 1, "ack lost; entry still inflight");
-        assert_eq!(stats.acks(), 0);
+        assert_eq!(stats.acks.get(), 0);
         assert!(!s.has_pending_acks(), "lost acks are not retried");
         // A later duplicate re-buffers and the healed link retires it.
         s.note_ack(NodeId(0), NodeId(1), seq);
         s.flush_acks(|_, _| true, &stats);
         assert_eq!(s.inflight_len(), 0);
-        assert_eq!(stats.acks(), 1);
+        assert_eq!(stats.acks.get(), 1);
     }
 
     #[test]
@@ -1012,14 +948,14 @@ mod tests {
             );
             assert_eq!(out.len(), 1);
         }
-        assert_eq!(stats.pool_misses(), 1, "only the cold start allocates");
+        assert_eq!(stats.pool_misses.get(), 1, "only the cold start allocates");
         assert_eq!(
-            stats.pool_hits(),
+            stats.pool_hits.get(),
             99,
             "the warm path runs off the free list"
         );
         assert_eq!(
-            stats.pool_recycled(),
+            stats.pool_recycled.get(),
             100,
             "every singleton chunk round-trips"
         );
@@ -1056,7 +992,10 @@ mod tests {
             now,
             &stats,
         );
-        assert!(stats.pool_hits() >= 1, "the second seal reuses the buffer");
+        assert!(
+            stats.pool_hits.get() >= 1,
+            "the second seal reuses the buffer"
+        );
         drop(out);
         // The first batch's ack never arrived: its retransmit copy must
         // still carry the original payloads, untouched by the reuse.
@@ -1074,17 +1013,18 @@ mod tests {
             .collect();
         assert_eq!(retx, [1, 2, 3], "inflight batch unchanged by pool reuse");
         // Retiring the batch recycles the tracked copy too.
-        let recycled_before = stats.pool_recycled();
-        s.ack(seq, &stats);
+        let recycled_before = stats.pool_recycled.get();
+        s.note_ack(NodeId(0), NodeId(1), seq);
+        s.flush_acks(|_, _| true, &stats);
         assert_eq!(s.inflight_len(), 1, "only the n2 batch remains tracked");
-        assert!(stats.pool_recycled() > recycled_before);
+        assert!(stats.pool_recycled.get() > recycled_before);
     }
 
     #[test]
     fn earliest_deadline_tracks_the_soonest_retry() {
         let s = state(ReliabilityConfig::default());
         assert_eq!(s.earliest_deadline(), None);
-        s.track(single(s.alloc_seq()));
+        track_one(&s);
         let d = s.earliest_deadline().expect("one entry pending");
         assert!(d <= crate::clock::now() + ReliabilityConfig::default().base_backoff);
     }

@@ -90,11 +90,6 @@ impl UdpConfig {
             sockets: vec![(me, socket)],
         })
     }
-
-    /// Number of nodes in the peer table.
-    pub fn peer_count(&self) -> usize {
-        self.peers.len()
-    }
 }
 
 /// The UDP backend (see the module docs for the deployment shapes).
@@ -208,7 +203,7 @@ fn rx_loop<M: WireCodec + Send + 'static>(
             let frame = match codec::decode_frame::<M>(&datagram) {
                 Ok(frame) => frame,
                 Err(_) => {
-                    path.stats().record_codec_error();
+                    path.stats().codec_errors.inc();
                     continue;
                 }
             };
@@ -219,7 +214,7 @@ fn rx_loop<M: WireCodec + Send + 'static>(
             if dst != me || src.index() >= path.node_count() {
                 // Misaddressed or naming nodes that don't exist: a peer
                 // bug (or hostile peer), not a codec failure.
-                path.stats().record_wire_reject();
+                path.stats().wire_rejects.inc();
                 continue;
             }
             // Receive-side link admission keeps partition injection
@@ -227,7 +222,7 @@ fn rx_loop<M: WireCodec + Send + 'static>(
             // here, heartbeats included, so the detector sees genuine
             // silence.
             if !path.link_up(src, dst) {
-                path.stats().record_drop();
+                path.stats().dropped.inc();
                 continue;
             }
             // Any datagram that made it through is proof of life.
@@ -254,7 +249,7 @@ impl<M: WireCodec + Send + 'static> Fabric<M> for UdpFabric<M> {
                 // Unencodable (oversized or an in-process-only variant):
                 // typed accounting, no panic. The retransmit queue still
                 // owns its tracked copy and will give the entry up.
-                self.path.stats().record_codec_error();
+                self.path.stats().codec_errors.inc();
                 if let Some(rel) = self.path.reliable_handle() {
                     rel.recycle_transfer(transfer, self.path.stats());
                 }
@@ -270,18 +265,18 @@ impl<M: WireCodec + Send + 'static> Fabric<M> for UdpFabric<M> {
             Some(s) => s,
             None => {
                 // A send on behalf of a node this process does not host.
-                self.path.stats().record_wire_reject();
+                self.path.stats().wire_rejects.inc();
                 return SendOutcome::DroppedDeadNode;
             }
         };
         let Some(addr) = self.peers.get(dst.index()) else {
-            self.path.stats().record_wire_reject();
+            self.path.stats().wire_rejects.inc();
             return SendOutcome::DroppedDeadNode;
         };
         match socket.send_to(&frame, addr) {
             Ok(_) => SendOutcome::Sent,
             Err(_) => {
-                self.path.stats().record_drop();
+                self.path.stats().dropped.inc();
                 SendOutcome::DroppedDeadNode
             }
         }

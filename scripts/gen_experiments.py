@@ -1,302 +1,55 @@
 #!/usr/bin/env python3
-"""Regenerate EXPERIMENTS.md from a captured experiments run.
+"""Refresh the generated tables of EXPERIMENTS.md in place.
 
 Usage:
-    cargo run -p doct-bench --release --bin experiments -- all > /tmp/experiments_all.txt
-    python3 scripts/gen_experiments.py /tmp/experiments_all.txt
+    cargo run -p doct-bench --release --bin experiments -- all > /tmp/experiments.txt
+    python3 scripts/gen_experiments.py /tmp/experiments.txt
+
+The prose (claims, verdicts, section headings) lives only in
+EXPERIMENTS.md. Each generated table sits there under a caption line
+`**E2c: <title>**`; the experiments binary prints the same table under
+`## E2c: <title>`. For every table in the captured run this script
+replaces the caption and the table below it, so each experiment heading
+appears once and a partial run (`-- e2 e12`) refreshes only its own
+tables. Tables with no caption in the document are reported, not added:
+write the section's prose first.
 """
 import re
 import sys
 
-src = sys.argv[1] if len(sys.argv) > 1 else "/tmp/experiments_all.txt"
-exp = open(src).read()
-sections = {}
-cur = None
-for line in exp.splitlines():
-    m = re.match(r"## (E\d+[b]?):", line)
-    if m:
-        cur = m.group(1)
-        sections[cur] = [line]
-    elif cur:
-        sections[cur].append(line)
-
-
-def sec(k):
-    return "\n".join(sections.get(k, ["(missing)"])).strip()
-
-
-doc = f"""# EXPERIMENTS — paper claims vs. measurements
-
-Reproduction of *"Asynchronous Event Handling in Distributed Object-Based
-Systems"* (Menon, Dasgupta, LeBlanc; ICDCS 1993).
-
-**What the paper reports.** The paper contains **no quantitative
-evaluation**: zero measured tables, zero figures. A prototype is described
-as "currently in progress" (§8). Its only table is the §5.3
-addressing/blocking matrix for the six `raise`/`raise_and_wait` forms.
-Accordingly:
-
-* **E1** reproduces that table as a conformance experiment (recipient sets
-  and blocking behaviour measured, not assumed);
-* **E2–E10** are designed experiments, one per qualitative claim, with the
-  claim quoted. Measurements come from
-  `cargo run -p doct-bench --release --bin experiments -- all`
-  (simulated 2–32-node clusters, zero-latency fabric, so costs are
-  dominated by protocol structure — exactly what the paper's arguments are
-  about). Absolute numbers are not comparable to 1993 hardware; the
-  *shape* — who wins, by what factor, how costs scale — is the result.
-
-Criterion microbenches (`cargo bench --workspace`) cover the per-operation
-costs of the hot paths; results quoted where relevant.
-
----
-
-## E1 — the §5.3 addressing/blocking table
-
-**Paper says (§5.3):** the six calls address a thread, a thread group, or
-an object; the `_and_wait` forms block the raiser "until it is explicitly
-resumed by a handler".
-
-**Measured** (target thread / group-of-8 / object whose handlers sleep
-50 ms before resuming — the raiser's latency reveals blocking):
-
-{sec('E1')}
-
-**Verdict:** recipient sets match the paper's table exactly; the raiser
-blocks (≥ the 50 ms handler delay) for precisely the three `_and_wait`
-forms. `raise_and_wait(e,gtid)` resumes on the *first* member's verdict
-(the paper leaves the multi-resume policy unspecified; we chose
-first-wins), so it blocks ~1 handler delay, not 8.
-
----
-
-## E2 — thread location strategies
-
-**Paper says (§7.1):** broadcast "is communication intensive and is
-wasteful"; following TCBs from the root node finds the thread "in n
-steps"; multicast groups joined by nodes hosting the thread are the
-sophisticated alternative — but "finding a thread is harder, as threads
-move around much faster than other resources".
-
-**Measured** (tip sleeping `hops` invocation hops from its root; locate
-messages per delivery, median of 5):
-
-{sec('E2')}
-
-**Verdict:** the paper's cost ranking reproduces. Broadcast costs 2(n−1)
-messages regardless of where the thread is (probes + found/not-found
-replies — the "wasteful" part). PathTrace costs hops+1: equal to n when
-the thread really visited every node, but the hops=1 rows show its real
-advantage — cost tracks the *chain*, not the cluster (3 vs 30 messages at
-n=16). Multicast degenerates to broadcast when the thread has visited
-every node (its group then contains all of them) and wins when the thread
-is concentrated (4 messages at n=16/hops=1). Criterion per-locate latency
-at n=8/hops=7: Broadcast ~37 µs, PathTrace ~42 µs (the hop chain is
-serial), Multicast ~31 µs — broadcast is *latency*-competitive because its
-probes fan out in parallel; its cost is message volume, exactly the
-paper's claim.
-
-{sec('E2b')}
-
-**Moving-target ablation:** §7.1's race is real and needed two design
-responses beyond the paper. (1) At maximum movement speed (dwell 0: the
-thread is mid-invocation essentially always) every probe wave loses the
-race; the kernel then *anchors* the event at the thread's root-node
-activation, which the thread drains at its next delivery point there —
-that is why even the dwell-0 rows deliver 50/50. (2) At moderate dwell
-times broadcast/multicast probes can find the *same* event twice as the
-thread moves between probe arrivals; the facility suppresses duplicates
-with a seen-seq ring carried in the thread's attributes (the "dupes
-suppressed" column — PathTrace's single serial probe needs none). Handler
-executions are exactly 50 per 50 raises in every configuration.
-
----
-
-## E3 — master handler thread vs spawn-per-event
-
-**Paper says (§4.3, §7):** "a handler thread can be associated with the
-object to handle all events on its behalf, thus eliminating
-thread-creation costs"; "it is preferable to employ a master handler
-thread on behalf of a passive object."
-
-**Measured** (2 000 no-op events raised at a passive object from another
-node):
-
-{sec('E3')}
-
-**Verdict:** the master handler thread is ~25–30× cheaper per event than
-spawning a kernel thread per delivery (Criterion: 1.73 µs vs 48.3 µs per
-event). The paper's design preference is strongly confirmed.
-
----
-
-## E4 — event notification vs object invocation
-
-**Paper says (§4.3):** raising an event at an object is an implicit
-invocation whose "mechanism … may have much less overhead than
-object-invocations."
-
-**Measured** (same no-op request, 1 000 ops):
-
-{sec('E4')}
-
-**Verdict:** one-way event notification to a *remote* object costs ~0.9 µs
-at the raiser vs ~29 µs for a remote invocation round trip (~30×) — the
-claim holds for the asynchronous form the paper describes (no reply, no
-thread shipping, master-thread execution). The synchronous form
-(`raise_and_wait`, ~13 µs) still beats invocation because the reply is a
-bare resume rather than a full thread-attribute return. Locally, a direct
-invocation (no kernel boundary in a simulator) is cheaper than queueing an
-event — the claim is specifically about the distributed case.
-
-{sec('E4b')}
-
-The delivery-point ablation documents our substitution for preemptive
-delivery: latency sits at the ~15 µs locate+queue baseline while
-uninterruptible bursts stay under ~10⁵ compute units, then grows linearly
-with the burst (≈ half a burst of expected wait) — bounding the fidelity
-cost of the poll-based model and telling library users how often
-long-running entries should poll.
-
----
-
-## E5 — TERMINATE cleanup-chain unwind (distributed locks)
-
-**Paper says (§4.2):** "Every time a thread locks data in an object, the
-unlock routine for that data is chained to the thread's TERMINATE handler.
-If the threads receive a TERMINATE signal, all locked data are unlocked,
-regardless of their location and scope."
-
-**Measured** (k locks acquired round-robin from managers on 3 nodes, then
-TERMINATE):
-
-{sec('E5')}
-
-**Verdict:** zero leaked locks at every depth; unwind time is linear in
-chain depth (~25–35 µs per lock — one remote release invocation each) and
-runs in LIFO order (asserted by the test suite). Criterion confirms the
-pure chain-walk mechanism is linear: 1.0 µs → 34.3 µs from depth 1 to 256.
-The soak tests additionally kill threads *inside* their critical sections
-and verify the hot lock always comes back.
-
----
-
-## E6 — the distributed ^C problem
-
-**Paper says (§6.3):** TERMINATE at the root must notify "all threads
-belonging to the application's thread-group" and all objects on the
-calling chain, hunting down asynchronously spawned threads "lest they turn
-into orphans".
-
-**Measured** (root + async children over 4 nodes; ^C injected from a
-console node):
-
-{sec('E6')}
-
-**Verdict:** every run ends with zero orphan activations, every object's
-ABORT cleanup runs, and teardown completes in single-digit milliseconds.
-Message cost grows linearly with thread count (one QUIT delivery+receipt
-per member plus one ABORT per object) — fan-out-bounded, not quadratic.
-
----
-
-## E7 — user-level virtual memory managers
-
-**Paper says (§6.4):** external pagers let applications "bypass the strict
-consistency imposed by the underlying sequentially consistent DSM"; on a
-fault "the thread is suspended and the handler attached to the server is
-notified"; concurrent faulters get copies that are later merged.
-
-**Measured** (256 first-touch faults from a cold node):
-
-{sec('E7')}
-
-**Verdict:** the user-level path works and costs ~3–4× the kernel protocol
-per fault (every fault becomes a VM_FAULT event handled by the pager
-object plus a rendezvous install) — the classic external-pager overhead.
-The traffic mix flips exactly as expected: kernel backing is all DSM-class
-messages (3 per fault: request, forward, data), user backing is all
-Event-class. Concurrent faulters on one page received 2 independent copies
-and both write-backs merged — §6.4's copy/merge behaviour, which the
-kernel-consistent path would forbid.
-
----
-
-## E8 — identical semantics under RPC and DSM invocation
-
-**Paper says (§2, design goal 2):** "Ensure that the mechanism works
-identically regardless of whether the objects are invoked using RPC or
-DSM."
-
-**Measured** (500 counter bumps against a remote object + 50 synchronous
-self-raises, both modes):
-
-{sec('E8')}
-
-**Verdict:** application-visible results are bit-identical (the harness
-asserts it); the traffic mix is completely different — RPC ships 1 000
-invocation messages, DSM ships zero invocations and a handful of
-page-coherence messages (state pages migrate once, then access is local).
-The full conformance grid (`tests/event_semantics_matrix.rs`) re-checks
-the core semantics under all 3 locators × 2 invocation modes × 2
-object-event policies.
-
----
-
-## E9 — monitoring overhead
-
-**Paper says (§6.2):** a monitor samples a thread's state on a periodic
-TIMER "regardless of where it is currently executing" and reports to a
-central server; the cost is left open.
-
-**Measured** (fixed ~137 ms compute-bound job inside a remote object):
-
-{sec('E9')}
-
-**Verdict:** sample counts scale with frequency (the TIMER chases the
-thread into the remote object; samples report its node, pc and current
-object) while application slowdown stays within noise (≤ ~4%) even at a
-2 ms period. Monitoring in this design is effectively free at
-liveliness-checking frequencies.
-
----
-
-## E10 — Medusa-style interest lists (related-work ablation)
-
-**Paper says (§9):** "Medusa's (as well as Levin's) exception reporting
-has the potential to cause a tight coupling within the system … a lot of
-extra work needs to be done to maintain a 'current interest list' … and
-the event reporting hierarchy tree could grow out of bounds."
-
-**Measured** (an exceptional event arising in one shared object, reported
-Medusa-style to k interest holders spread over 4 nodes vs paper-style to
-the object's one installed handler):
-
-{sec('E10')}
-
-**Verdict:** the critique quantifies cleanly: interest-list reporting
-costs ~1.5 messages per holder per event (locate + deliver fan-out, some
-holders local) — linear coupling that reaches ~100 messages per report at
-64 holders, against a constant 1 message for the paper's targeted object
-handler. (The holders=1 Medusa row shows 0 messages when the lone holder
-is co-located with the object.) The latency to notify everyone grows with
-the list too. This is the paper's §9 argument, made measurable.
-
----
-
-## Reproducing
-
-```console
-$ cargo run -p doct-bench --release --bin experiments -- all   # all tables
-$ cargo run -p doct-bench --release --bin experiments -- e2 e6 # a subset
-$ cargo bench --workspace                                      # microbenches
-$ python3 scripts/gen_experiments.py /tmp/experiments_all.txt  # this file
-```
-
-Numbers above were produced on this repository's development container
-(Linux, release profile). Expect different absolute values — the claims
-under test are structural (ratios, scaling shapes, zero-leak / zero-orphan
-invariants), and those are asserted by the harness itself.
-"""
-open("EXPERIMENTS.md", "w").write(doc)
-print("EXPERIMENTS.md written:", len(doc), "bytes")
+DOC = "EXPERIMENTS.md"
+captured = open(sys.argv[1] if len(sys.argv) > 1 else "/tmp/experiments.txt").read()
+
+# key -> [caption, blank, table rows...] for every `## Ek: title` block.
+tables = {}
+key = None
+for line in captured.splitlines():
+    heading = re.match(r"## (E\d+[a-z]?): (.*)", line)
+    if heading:
+        key = heading.group(1)
+        tables[key] = [f"**{key}: {heading.group(2)}**", ""]
+    elif key and line.startswith("|"):
+        tables[key].append(line)
+    else:
+        key = None
+
+out, refreshed = [], set()
+lines = open(DOC).read().splitlines()
+i = 0
+while i < len(lines):
+    caption = re.match(r"\*\*(E\d+[a-z]?): .*\*\*$", lines[i])
+    if caption and caption.group(1) in tables:
+        refreshed.add(caption.group(1))
+        out.extend(tables[caption.group(1)])
+        i += 1
+        while i < len(lines) and (lines[i] == "" or lines[i].startswith("|")):
+            i += 1
+        out.append("")
+    else:
+        out.append(lines[i])
+        i += 1
+
+open(DOC, "w").write("\n".join(out) + "\n")
+print(f"{DOC}: refreshed {sorted(refreshed)}")
+for key in sorted(set(tables) - refreshed):
+    print(f"{DOC}: no `**{key}: …**` caption; table not placed", file=sys.stderr)

@@ -127,8 +127,12 @@ fn stationary_target_uses_the_unicast_fast_path() {
         assert_eq!(summary.nodes, vec![NodeId(1)]);
     }
     let delta = before.delta(&cluster.net().stats().snapshot());
-    assert_eq!(delta.hint_unicasts(), WARM, "one unicast probe per raise");
-    assert_eq!(delta.broadcasts(), 0, "no wave after warm-up");
+    assert_eq!(
+        delta.get("hint_unicasts"),
+        WARM,
+        "one unicast probe per raise"
+    );
+    assert_eq!(delta.get("broadcasts"), 0, "no wave after warm-up");
     assert_eq!(
         counter(&cluster, "locator.cache_hits") - hits_before,
         WARM,
@@ -271,7 +275,7 @@ fn dead_node_hint_is_purged_not_waited_on() {
         "failure detector never declared node 2 dead"
     );
 
-    let unicasts_before = cluster.net().stats().hint_unicasts();
+    let unicasts_before = cluster.net().stats().hint_unicasts.get();
     let evictions_before = counter(&cluster, "locator.cache_evictions");
     let started = Instant::now();
     let summary = cluster
@@ -285,7 +289,7 @@ fn dead_node_hint_is_purged_not_waited_on() {
         "resolved via the detector ({elapsed:?}), not the full delivery timeout"
     );
     assert_eq!(
-        cluster.net().stats().hint_unicasts(),
+        cluster.net().stats().hint_unicasts.get(),
         unicasts_before,
         "no unicast was sent toward the dead hint"
     );

@@ -118,7 +118,7 @@ fn quit_delivered_mid_batch_runs_cleanup_handlers_exactly_once() {
         assert!(matches!(r, Err(KernelError::Terminated)), "{r:?}");
     }
     assert!(
-        cluster.net().stats().dup_drops() > 0,
+        cluster.net().stats().dup_drops.get() > 0,
         "the unacked QUIT batch must have been retransmitted and suppressed"
     );
     // Give any wrong replay machinery time to double-run before counting.
@@ -194,11 +194,11 @@ fn quit_mid_batch_recycles_pool_chunks_and_keeps_the_ledger_balanced() {
     }
     let warm = cluster.net().stats().snapshot();
     assert!(
-        warm.pool_recycled() > 0 && warm.pool_hits() > 0,
+        warm.get("pool_recycled") > 0 && warm.get("pool_hits") > 0,
         "warm batched raises must churn the chunk pool \
          (hits {}, recycled {})",
-        warm.pool_hits(),
-        warm.pool_recycled()
+        warm.get("pool_hits"),
+        warm.get("pool_recycled")
     );
 
     // Cut the ack path so the QUIT batch retransmits mid-death, then heal.
@@ -219,7 +219,7 @@ fn quit_mid_batch_recycles_pool_chunks_and_keeps_the_ledger_balanced() {
         assert!(matches!(r, Err(KernelError::Terminated)), "{r:?}");
     }
     assert!(
-        cluster.net().stats().dup_drops() > 0,
+        cluster.net().stats().dup_drops.get() > 0,
         "the unacked QUIT batch must have been retransmitted and suppressed"
     );
 
