@@ -21,10 +21,10 @@
 //!   reference occupancy count, control events preempt and pop FIFO, a
 //!   stored push always wakes a parked consumer (no lost wakeup), and the
 //!   lock-free depth mirror equals the real occupancy after every step;
-//! * **steal-handoff exactly-once** (per-core reactors, §3f): an owner
-//!   popping its `StealQueue` from the front races a thief stealing from
-//!   the back while a router pushes — no event is delivered twice or
-//!   lost, and the notify-on-empty-transition wake protocol never strands
+//! * **steal-handoff exactly-once** (the `StealQueue` contract): an
+//!   owner popping its `StealQueue` from the front races a thief stealing
+//!   from the back while a producer pushes — no item is handed out twice
+//!   or lost, and the notify-on-empty-transition wake protocol never strands
 //!   a parked owner;
 //! * **single-winner drain** (sharded delivery table, §3f): a raiser
 //!   inserting trackers races a receipt-path remove and the shutdown
@@ -330,7 +330,7 @@ pub fn check_seen_ring_eviction_window() -> ModelReport {
 /// * after every step, the lock-free depth mirror
 ///   ([`Mailbox::depth_handle`]) equals both the mailbox's real length
 ///   and the reference occupancy — a shed must never touch the mirror
-///   (the kernel sweep and the per-reactor depth gauges read it without
+///   (the kernel loop's mailbox-depth sample reads it without
 ///   the activation lock, so any drift miscounts load forever);
 /// * conservation: stored − popped events remain queued, stored + shed
 ///   equals pushes attempted. Shed is a typed outcome, never a silent
@@ -476,17 +476,16 @@ pub fn check_mailbox_overload_admission() -> ModelReport {
     }
 }
 
-/// Per-core reactors (§3f): a router pushes work onto one reactor's
-/// **real** `StealQueue` while the owning reactor pops from the front and
-/// an idle neighbour steals from the back. The model drives every
-/// interleaving of:
+/// The `StealQueue` contract: a producer pushes onto a **real**
+/// `StealQueue` while its owner pops from the front and an idle sibling
+/// steals from the back. The model drives every interleaving of:
 ///
-/// * T0 — router: two pushes. `StealQueue::push` reports whether the
-///   queue was empty, computed inside the queue's lock; the router wakes
-///   the owner exactly on that empty transition (clears the waiting
-///   flag), mirroring `NodeKernel::route`;
+/// * T0 — producer: two pushes. `StealQueue::push` reports whether the
+///   queue was empty, computed inside the queue's lock; the producer
+///   wakes the owner exactly on that empty transition (clears the
+///   waiting flag), as `push`'s contract asks of any caller;
 /// * T1 — owner: three front pops, parking (waiting flag) on `None` —
-///   mirroring `run_reactor`'s pop-then-park loop;
+///   the pop-then-park loop an owner runs;
 /// * T2 — thief: two back steals of one item each.
 ///
 /// Invariants, on all 7!/(2!·3!·2!) = 210 schedules:
@@ -517,7 +516,7 @@ pub fn check_reactor_steal_handoff() -> ModelReport {
                 0 => {
                     let item = 10 + pc[0] as u32;
                     if queue.push(item) {
-                        // Empty transition: the router wakes the owner.
+                        // Empty transition: the producer wakes the owner.
                         waiting = false;
                     }
                 }

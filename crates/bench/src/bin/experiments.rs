@@ -42,14 +42,6 @@ fn run_one(which: &str) -> Result<(), doct_kernel::KernelError> {
             e13_overload::table(&rows).print();
             write_bench("BENCH_e13_overload.json", &e13_overload::json(&rows));
         }
-        "e14" => {
-            let rows = e14_reactor_scaling::run()?;
-            e14_reactor_scaling::table(&rows).print();
-            write_bench(
-                "BENCH_e14_reactor_scaling.json",
-                &e14_reactor_scaling::json(&rows),
-            );
-        }
         "e15" => e15_zero_copy::table(&e15_zero_copy::run()?).print(),
         other => unreachable!("main validates experiment names, got {other:?}"),
     }
@@ -57,7 +49,7 @@ fn run_one(which: &str) -> Result<(), doct_kernel::KernelError> {
 }
 
 /// Record a timing sweep no `benchmark/` workload covers (E13 overload
-/// shedding, E14 `reactors > 1`) in the working directory.
+/// shedding) in the working directory.
 fn write_bench(file: &str, json: &str) {
     match std::fs::write(file, json) {
         Ok(()) => eprintln!("[sweep written to {file}]"),
@@ -85,8 +77,7 @@ fn main() {
     let full_json = args.iter().any(|a| a == "--telemetry");
     let args: Vec<String> = args.into_iter().filter(|a| a != "--telemetry").collect();
     let all = [
-        "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
-        "e15",
+        "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e15",
     ];
     let selected: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         all.to_vec()
@@ -95,7 +86,7 @@ fn main() {
     };
     // A typo must fail the CI leg that made it, before anything runs.
     if let Some(bad) = selected.iter().find(|w| !all.contains(w)) {
-        eprintln!("unknown experiment {bad:?} (expected e1..e15 or all)");
+        eprintln!("unknown experiment {bad:?} (expected e1..e13, e15 or all)");
         std::process::exit(2);
     }
     for which in selected {

@@ -8,9 +8,11 @@
 //! * **E1** reproduces the paper's table as a *conformance* experiment —
 //!   the same six calls, with measured recipient sets and blocking
 //!   behaviour;
-//! * **E2–E15** are *designed* experiments, each quantifying a specific
-//!   qualitative claim the paper (or this reproduction's transport and
-//!   kernel) makes, with the claim quoted in the module docs.
+//! * **E2–E13 and E15** are *designed* experiments, each quantifying a
+//!   specific qualitative claim the paper (or this reproduction's
+//!   transport and kernel) makes, with the claim quoted in the module
+//!   docs. (E14, reactor scaling, was retired with the multi-reactor
+//!   kernel loop.)
 //!
 //! Each experiment is a function returning printable rows; the
 //! `experiments` binary runs them (`cargo run -p doct-bench --release
@@ -19,13 +21,12 @@
 //! raise, hit rates, copied bytes), asserted in code where they carry a
 //! claim. Raise latency and throughput are timed by the standalone
 //! `benchmark/` crate wherever it has a workload on the same path; only
-//! E13 (overload shedding) and E14 (`reactors > 1`) time their own runs.
+//! E13 (overload shedding) times its own runs.
 
 pub mod e10_interest_lists;
 pub mod e11_partition_heal;
 pub mod e12_fanout_batch;
 pub mod e13_overload;
-pub mod e14_reactor_scaling;
 pub mod e15_zero_copy;
 pub mod e1_raise_table;
 pub mod e2_thread_location;

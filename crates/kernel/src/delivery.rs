@@ -9,7 +9,7 @@
 //! * **probe** — `send_probe_wave` / `send_hint_probe` on the raiser's
 //!   node, `handle_deliver_thread` on the probed node;
 //! * **receipt** — `handle_receipt` resolves, retries or anchors;
-//! * **sweep** — `sweep_shards` times deliveries out and falls stale
+//! * **sweep** — `sweep` times deliveries out and falls stale
 //!   hints back to the wave; `drain_deliveries_as_lost` ends the rest at
 //!   shutdown.
 //!
@@ -59,7 +59,6 @@ pub struct KernelStats {
     /// `kernel.shed_{control,timer,user}`, indexed by `Lane as usize`.
     shed_lane: [Counter; 3],
     shed_at_source: Counter,
-    pub(crate) reactor_steals: Counter,
     pub(crate) calls_failed_fast: Counter,
     deliver_latency: Histogram,
     pub(crate) mailbox_depth: Histogram,
@@ -81,7 +80,6 @@ impl KernelStats {
             shed_lane: [Lane::Control, Lane::Timer, Lane::User]
                 .map(|l| registry.counter(&format!("kernel.shed_{l}"))),
             shed_at_source: registry.counter("kernel.shed_at_source"),
-            reactor_steals: registry.counter("kernel.reactor_steals"),
             calls_failed_fast: registry.counter("kernel.calls_failed_fast"),
             deliver_latency: registry.histogram("event.deliver_latency_ns"),
             mailbox_depth: registry.histogram("kernel.mailbox_depth"),
@@ -790,11 +788,9 @@ impl NodeKernel {
         }
     }
 
-    /// Sweep the delivery shards owned by reactor `owner` out of `stride`
-    /// (shard `s` belongs to reactor `s % stride`; the single-reactor
-    /// loop sweeps `(0, 1)`), one shard lock at a time — a long sweep
-    /// never stalls registration or receipts on the other shards.
-    pub(crate) fn sweep_shards(self: &Arc<Self>, owner: usize, stride: usize) {
+    /// Sweep every delivery shard, one shard lock at a time — a long
+    /// sweep never stalls registration or receipts on the other shards.
+    pub(crate) fn sweep(self: &Arc<Self>) {
         let me = self.node_id();
         let now = Instant::now();
         let detector_on = self.net().reliability_enabled();
@@ -809,8 +805,7 @@ impl NodeKernel {
         // the shard locks are released (collect-then-send).
         let mut resolved: Vec<(Sender<DeliveryStatus>, DeliveryStatus)> = Vec::new();
         let mut expired: Vec<(u64, DeliveryStatus)> = Vec::new();
-        let mut idx = owner;
-        while idx < self.deliveries.shard_count() {
+        for idx in 0..self.deliveries.shard_count() {
             let mut shard = self.deliveries.lock_shard(idx);
             for (id, t) in shard.entries.iter_mut() {
                 if now >= t.deadline {
@@ -851,8 +846,6 @@ impl NodeKernel {
             resolved.extend(expired.drain(..).filter_map(|(id, status)| {
                 shard.entries.remove(&id).map(|t| (t.result_tx, status))
             }));
-            drop(shard);
-            idx += stride;
         }
         for (result_tx, status) in resolved {
             self.resolve(result_tx, status);

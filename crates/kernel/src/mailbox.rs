@@ -377,9 +377,9 @@ mod tests {
     fn depth_mirror_equals_occupancy_after_every_operation() {
         // Regression pin for the increment-on-Stored-only contract: a shed
         // must leave the mirror untouched, and the mirror must equal the
-        // real occupancy after *every* push/pop — the kernel sweep and the
-        // per-reactor depth gauges both trust this atomic without taking
-        // the activation lock.
+        // real occupancy after *every* push/pop — the kernel loop's
+        // mailbox-depth sample trusts this atomic without taking the
+        // activation lock.
         let mut m = Mailbox::new(tiny());
         let depth = m.depth_handle();
         let check = |m: &Mailbox, d: &Arc<AtomicUsize>| {

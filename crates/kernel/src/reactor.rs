@@ -1,22 +1,17 @@
-//! Per-reactor work queues with an idle-steal path (DESIGN.md §3f).
+//! A single-owner work queue that idle siblings may steal from.
 //!
-//! With `KernelConfig::reactors > 1` the kernel-loop thread becomes a
-//! *router*: it drains the node's wire mailbox and distributes messages
-//! across N reactor workers, each owning one [`StealQueue`]. Receipts are
-//! routed by delivery-table shard and thread deliveries by target thread,
-//! so a shard's receipt processing and a thread's mailbox pushes stay on
-//! one reactor — and an idle reactor steals from the back of a loaded
-//! sibling's queue instead of spinning, so a skewed workload (every raise
-//! targeting one hot thread) still uses every core.
+//! The kernel does not use it: every node runs one kernel loop. The
+//! type stays for two callers that test its contract: the benchmark's
+//! `steal_queue.*` per-layer drivers, and the `reactor-steal-handoff`
+//! schedule model in `crates/analyze`, which checks over every 3-thread
+//! interleaving that a front pop and a concurrent back steal hand each
+//! item off exactly once, and that the notify-on-empty-transition wake
+//! protocol never strands a parked owner.
 //!
 //! The queue is a plain `Mutex<VecDeque>`; pop takes from the front,
 //! steal takes a run from the back, and [`StealQueue::push`] reports
-//! whether the queue was empty so the router only wakes an owner that
-//! might actually be parked (notify-on-empty-transition — the same
-//! lost-wakeup protocol the mailbox model checks). Exactly-once handoff
-//! between a local pop and a concurrent steal, plus the no-lost-wakeup
-//! claim, are proved over every 3-thread interleaving by the
-//! `reactor-steal-handoff` schedule model in `crates/analyze`.
+//! whether the queue was empty, so a producer need wake the owner only
+//! on that transition.
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -42,7 +37,7 @@ impl<T> StealQueue<T> {
 
     /// Append one item. Returns `true` when the queue was empty before —
     /// the only case where the owner could be parked, so the only case
-    /// the router must wake it (notify-on-empty-transition).
+    /// the producer must wake it (notify-on-empty-transition).
     pub fn push(&self, item: T) -> bool {
         let mut q = self.items.lock();
         let was_empty = q.is_empty();
@@ -54,14 +49,6 @@ impl<T> StealQueue<T> {
     pub fn pop(&self) -> Option<T> {
         let mut q = self.items.lock();
         q.pop_front()
-    }
-
-    /// Owner-side batch dequeue: up to `max` items from the front, taken
-    /// under one lock hold and processed outside it.
-    pub fn pop_batch(&self, max: usize) -> Vec<T> {
-        let mut q = self.items.lock();
-        let n = q.len().min(max);
-        q.drain(..n).collect()
     }
 
     /// Thief-side dequeue: up to `max` items from the *back* (the
@@ -107,12 +94,12 @@ mod tests {
         }
         let stolen = q.steal(4);
         assert_eq!(stolen, vec![6, 7, 8, 9], "thief takes the youngest run");
-        let local = q.pop_batch(4);
+        let local: Vec<_> = (0..4).map_while(|_| q.pop()).collect();
         assert_eq!(local, vec![0, 1, 2, 3], "owner keeps FIFO order");
         assert_eq!(q.len(), 2);
         assert_eq!(q.steal(10), vec![4, 5], "steal is bounded by depth");
         assert!(q.is_empty());
         assert!(q.steal(3).is_empty());
-        assert!(q.pop_batch(3).is_empty());
+        assert_eq!(q.pop(), None);
     }
 }

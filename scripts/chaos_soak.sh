@@ -11,10 +11,6 @@
 # feature: runtime lock-order + blocking-point validation runs under the
 # soak, and tests/lock_order.rs turns any cycle into a failure.
 #
-# DOCT_REACTORS=N re-runs the whole soak with every kernel loop split
-# into N work-stealing reactors (KernelConfig::effective_reactors reads
-# the variable in-process, overriding each test's builder).
-#
 # The E11 partition suite runs once per transport backend (DOCT_FABRIC=
 # sim, then udp — real loopback sockets; KernelConfig::effective_fabric
 # reads the variable in-process), and a real kill -9 leg
@@ -31,9 +27,6 @@ FEATURES=()
 if [[ "${DOCT_LOCKDEP:-0}" == "1" ]]; then
   FEATURES=(--features parking_lot/lockdep)
   echo "=== lockdep enabled ==="
-fi
-if [[ -n "${DOCT_REACTORS:-}" && "${DOCT_REACTORS}" != "1" ]]; then
-  echo "=== multi-reactor kernels: DOCT_REACTORS=${DOCT_REACTORS} ==="
 fi
 echo "=== chaos soak, DOCT_SEED=${SEED} ==="
 

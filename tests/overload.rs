@@ -219,21 +219,16 @@ fn backpressure_sheds_at_the_source_but_control_passes() {
 }
 
 /// One chaos round: flooding workers plus never-draining sinks under tiny
-/// lane bounds, on `reactors` kernel workers per node. Returns with the
-/// ledger checked and shedding confirmed.
-fn chaos_round(seed: u64, reactors: usize) {
+/// lane bounds. Returns with the ledger checked and shedding confirmed.
+fn chaos_round(seed: u64) {
     const NODES: usize = 3;
     const WORKERS: usize = 6;
     let cluster = ClusterBuilder::new(NODES)
-        .config(
-            KernelConfig::default()
-                .with_reactors(reactors)
-                .with_mailbox(MailboxConfig {
-                    timer_capacity: 2,
-                    user_capacity: 2,
-                    ..MailboxConfig::default()
-                }),
-        )
+        .config(KernelConfig::default().with_mailbox(MailboxConfig {
+            timer_capacity: 2,
+            user_capacity: 2,
+            ..MailboxConfig::default()
+        }))
         .build();
     let facility = EventFacility::install(&cluster);
     facility.register_event("NUDGE");
@@ -372,20 +367,6 @@ fn chaos_round(seed: u64, reactors: usize) {
 fn ledger_balances_under_three_seed_chaos_with_shedding() {
     let base = base_seed();
     for offset in 0..3 {
-        chaos_round(base.wrapping_add(offset), 1);
-    }
-}
-
-/// The same chaos, but with the kernel loop split into work-stealing
-/// reactors: typed shedding and the five-term ledger must be exactly as
-/// balanced when receipts, sweeps, and steals race across shards as when
-/// one thread handles everything inline.
-#[test]
-fn ledger_balances_under_chaos_with_multi_reactor_kernels() {
-    let base = base_seed();
-    for reactors in [2usize, 4] {
-        for offset in 0..3 {
-            chaos_round(base.wrapping_add(offset), reactors);
-        }
+        chaos_round(base.wrapping_add(offset));
     }
 }
