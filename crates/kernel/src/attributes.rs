@@ -19,7 +19,6 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A typed extension slotted into [`ThreadAttributes`].
 ///
@@ -32,18 +31,6 @@ pub trait Extension: Any + Send + Sync {
     fn clone_ext(&self) -> Arc<dyn Extension>;
     /// Downcast support.
     fn as_any(&self) -> &dyn Any;
-}
-
-/// A periodic timer the thread asked for (§6.2): recreated wherever the
-/// thread goes, so TIMER events chase it across nodes.
-#[derive(Debug, Clone)]
-pub struct TimerSpec {
-    /// Firing period.
-    pub period: Duration,
-    /// Payload delivered with each TIMER event.
-    pub payload: Value,
-    /// Registration id (for cancellation).
-    pub id: u64,
 }
 
 /// The attribute record that travels with a logical thread.
@@ -60,8 +47,6 @@ pub struct ThreadAttributes {
     pub io_channel: Option<String>,
     /// Consistency label ([Chen 89] in the paper).
     pub consistency_label: Option<String>,
-    /// Periodic timers registered for this thread.
-    pub timers: Vec<TimerSpec>,
     /// Small per-thread key/value memory (the serializable slice of the
     /// paper's per-thread memory).
     pub values: BTreeMap<String, Value>,
@@ -76,7 +61,6 @@ impl fmt::Debug for ThreadAttributes {
             .field("creator", &self.creator)
             .field("group", &self.group)
             .field("io_channel", &self.io_channel)
-            .field("timers", &self.timers.len())
             .field("extensions", &self.extensions.keys().collect::<Vec<_>>())
             .finish()
     }
@@ -91,7 +75,6 @@ impl ThreadAttributes {
             group: None,
             io_channel: None,
             consistency_label: None,
-            timers: Vec::new(),
             values: BTreeMap::new(),
             extensions: BTreeMap::new(),
         }
@@ -118,7 +101,7 @@ impl ThreadAttributes {
     }
 
     /// Clone these attributes for inheritance by a spawned thread: the
-    /// child gets the parent's group, I/O channel, values, timers, and a
+    /// child gets the parent's group, I/O channel, key/value memory, and a
     /// `clone_ext` copy of every extension — "Any subsequent thread
     /// spawned from the root thread inherits the thread attributes
     /// (including the event registry and the handler information)" (§6.3).
@@ -129,7 +112,6 @@ impl ThreadAttributes {
             group: self.group,
             io_channel: self.io_channel.clone(),
             consistency_label: self.consistency_label.clone(),
-            timers: self.timers.clone(),
             values: self.values.clone(),
             extensions: self
                 .extensions
@@ -151,7 +133,6 @@ impl Clone for ThreadAttributes {
             group: self.group,
             io_channel: self.io_channel.clone(),
             consistency_label: self.consistency_label.clone(),
-            timers: self.timers.clone(),
             values: self.values.clone(),
             extensions: self.extensions.clone(),
         }

@@ -1,21 +1,20 @@
-//! The simulated DO/CT cluster: construction, object/thread lifecycle,
-//! external event injection, and the timer service.
+//! The simulated DO/CT cluster: construction, object/thread lifecycle and
+//! external event injection.
 
 use crate::delivery::{LedgerSnapshot, RaiseTicket};
-use crate::node::{IoHub, NodeKernel, TimerCmd};
+use crate::node::{IoHub, NodeKernel};
 use crate::{
-    ClassRegistry, Ctx, DeliveryStatus, EventDispatcher, EventName, FabricChoice, GroupRegistry,
-    KernelConfig, KernelError, KernelMessage, ObjectBehavior, ObjectConfig, ObjectDirectory,
-    ObjectId, ObjectRecord, RaiseTarget, ThreadAttributes, ThreadGroupId, ThreadId, Value,
+    ClassRegistry, Ctx, EventDispatcher, EventName, FabricChoice, GroupRegistry, KernelConfig,
+    KernelError, KernelMessage, ObjectBehavior, ObjectConfig, ObjectDirectory, ObjectId,
+    ObjectRecord, RaiseTarget, ThreadAttributes, ThreadGroupId, ThreadId, Value,
 };
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::Receiver;
 use doct_dsm::Backing;
 use doct_net::{
     FabricSpec, FailureConfig, LatencyModel, MessageClass, NetStats, Network, NodeId,
     ReliabilityConfig, UdpConfig,
 };
 use doct_telemetry::Telemetry;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -188,17 +187,6 @@ impl ClusterBuilder {
             joins.extend(k.start());
             kernels.push(k);
         }
-        let (timer_tx, timer_rx) = unbounded();
-        for k in &kernels {
-            k.set_timer_channel(timer_tx.clone());
-        }
-        let timer_kernels: Vec<Arc<NodeKernel>> = kernels.clone();
-        joins.push(
-            std::thread::Builder::new()
-                .name("timer-service".into())
-                .spawn(move || run_timer_service(timer_rx, timer_kernels))
-                .expect("spawn timer service"),
-        );
         Cluster {
             net,
             kernels,
@@ -208,7 +196,6 @@ impl ClusterBuilder {
             io,
             config: self.config,
             telemetry,
-            timer_tx,
             joins: parking_lot::Mutex::new(joins),
         }
     }
@@ -224,7 +211,6 @@ pub struct Cluster {
     io: Arc<IoHub>,
     config: KernelConfig,
     telemetry: Arc<Telemetry>,
-    timer_tx: Sender<TimerCmd>,
     joins: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -584,10 +570,9 @@ impl Cluster {
         self.live_activations() == 0
     }
 
-    /// Shut the cluster down: stops kernel loops, master handler threads,
-    /// and the timer service. Called automatically on drop.
+    /// Shut the cluster down: stops kernel loops and master handler
+    /// threads. Called automatically on drop.
     pub fn shutdown(&self) {
-        let _ = self.timer_tx.send(TimerCmd::Shutdown);
         for k in &self.kernels {
             k.request_shutdown();
             let _ = self.net.send(
@@ -607,97 +592,5 @@ impl Cluster {
 impl Drop for Cluster {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-struct TimerEntry {
-    thread: ThreadId,
-    id: u64,
-    period: Duration,
-    payload: Value,
-    event: EventName,
-    one_shot: bool,
-    next_fire: Instant,
-}
-
-fn run_timer_service(rx: Receiver<TimerCmd>, kernels: Vec<Arc<NodeKernel>>) {
-    let mut timers: Vec<TimerEntry> = Vec::new();
-    let mut outcomes: Vec<(ThreadId, Receiver<DeliveryStatus>)> = Vec::new();
-    let mut dead: HashMap<ThreadId, ()> = HashMap::new();
-    loop {
-        let now = Instant::now();
-        let next_due = timers
-            .iter()
-            .map(|t| t.next_fire)
-            .min()
-            .unwrap_or(now + Duration::from_millis(50));
-        let wait = next_due
-            .saturating_duration_since(now)
-            .min(Duration::from_millis(50));
-        match rx.recv_timeout(wait) {
-            Ok(TimerCmd::Register {
-                thread,
-                id,
-                period,
-                payload,
-                event,
-                one_shot,
-            }) => {
-                dead.remove(&thread);
-                timers.push(TimerEntry {
-                    thread,
-                    id,
-                    period,
-                    payload,
-                    event,
-                    one_shot,
-                    next_fire: Instant::now() + period,
-                });
-            }
-            Ok(TimerCmd::Cancel { thread, id }) => {
-                timers.retain(|t| !(t.thread == thread && t.id == id));
-            }
-            Ok(TimerCmd::CancelThread(thread)) => {
-                timers.retain(|t| t.thread != thread);
-            }
-            Ok(TimerCmd::Shutdown) => return,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-        }
-        // Collect delivery outcomes: timers of dead threads stop.
-        outcomes.retain(|(thread, rx)| match rx.try_recv() {
-            Ok(DeliveryStatus::TargetDead) => {
-                dead.insert(*thread, ());
-                false
-            }
-            Ok(_) => false,
-            Err(crossbeam::channel::TryRecvError::Empty) => true,
-            Err(crossbeam::channel::TryRecvError::Disconnected) => false,
-        });
-        timers.retain(|t| !dead.contains_key(&t.thread));
-        let now = Instant::now();
-        let mut fired_one_shots = Vec::new();
-        for t in timers.iter_mut() {
-            if t.next_fire <= now {
-                t.next_fire = now + t.period;
-                let kernel = &kernels[t.thread.root.index().min(kernels.len() - 1)];
-                // Re-fires share the registered payload buffer: for
-                // Bytes payloads these clones are refcount bumps.
-                let (ticket, _seq) = kernel.raise_event(
-                    t.event.clone(),
-                    t.payload.clone(),
-                    RaiseTarget::Thread(t.thread),
-                    false,
-                    None,
-                );
-                for rx in ticket.into_receivers() {
-                    outcomes.push((t.thread, rx));
-                }
-                if t.one_shot {
-                    fired_one_shots.push((t.thread, t.id));
-                }
-            }
-        }
-        timers.retain(|t| !fired_one_shots.contains(&(t.thread, t.id)));
     }
 }

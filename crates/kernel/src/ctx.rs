@@ -8,11 +8,11 @@ use crate::config::InvocationMode;
 use crate::delivery::RaiseTicket;
 use crate::node::NodeKernel;
 use crate::{
-    EventName, KernelError, ObjectId, RaiseTarget, SystemEvent, ThreadAttributes,
-    ThreadDisposition, ThreadId, Value, WireEvent,
+    EventName, KernelError, KernelMessage, ObjectId, RaiseTarget, SystemEvent, ThreadAttributes,
+    ThreadDisposition, ThreadId, TimerCmd, Value, WireEvent,
 };
 use crossbeam::channel::Receiver;
-use doct_net::NodeId;
+use doct_net::{MessageClass, NodeId};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -547,39 +547,50 @@ impl Ctx {
     /// Register a periodic TIMER event for this thread (§6.2). The timer
     /// chases the thread wherever it executes. Returns the timer id.
     ///
-    /// The payload is cloned into the thread's attribute ring and the
-    /// timer service, and again at every fire — all refcount bumps for
-    /// [`crate::Bytes`] payloads, so periodic timers with large payloads
-    /// never re-copy them (DESIGN.md §3g).
+    /// The payload travels once to the kernel loop of the thread's root
+    /// node, which keeps the deadline, and is cloned again at every fire
+    /// — refcount bumps for [`crate::Bytes`] payloads, so periodic timers
+    /// with large payloads never re-copy them (DESIGN.md §3g).
     pub fn add_timer(&mut self, period: Duration, payload: impl Into<Value>) -> u64 {
-        let id = self.kernel.next_seq();
-        let payload = payload.into();
-        self.activation.with_attributes(|a| {
-            a.timers.push(crate::attributes::TimerSpec {
-                period,
-                payload: payload.clone(),
-                id,
-            })
-        });
-        self.kernel
-            .register_timer(self.thread_id(), id, period, payload);
-        id
+        self.register_timer(period, payload.into(), false)
     }
 
     /// Register a one-shot ALARM event for this thread, firing after
     /// `delay` (§3 lists alarms among the system events). Returns the
     /// alarm id (cancellable with [`Ctx::cancel_timer`] before it fires).
     pub fn set_alarm(&mut self, delay: Duration, payload: impl Into<Value>) -> u64 {
-        let id = self.kernel.next_seq();
-        self.kernel
-            .register_alarm(self.thread_id(), id, delay, payload.into());
-        id
+        self.register_timer(delay, payload.into(), true)
     }
 
     /// Cancel a timer created with [`Ctx::add_timer`].
     pub fn cancel_timer(&mut self, id: u64) {
-        self.activation
-            .with_attributes(|a| a.timers.retain(|t| t.id != id));
-        self.kernel.cancel_timer(self.thread_id(), id);
+        self.send_to_root(TimerCmd::Cancel {
+            thread: self.thread_id(),
+            id,
+        });
+    }
+
+    fn register_timer(&self, period: Duration, payload: Value, one_shot: bool) -> u64 {
+        let id = self.kernel.next_seq();
+        self.send_to_root(TimerCmd::Register {
+            thread: self.thread_id(),
+            id,
+            period,
+            payload,
+            one_shot,
+        });
+        id
+    }
+
+    /// The thread's root node keeps its timers: usually a send to this
+    /// node, a control message over the fabric while the thread is
+    /// inside a remote invocation.
+    fn send_to_root(&self, cmd: TimerCmd) {
+        let _ = self.kernel.net().send(
+            self.kernel.node_id(),
+            self.thread_id().root,
+            KernelMessage::Timer(cmd),
+            MessageClass::Control,
+        );
     }
 }

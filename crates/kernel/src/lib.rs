@@ -66,7 +66,7 @@ mod value;
 mod wire;
 
 pub use activation::{Activation, ActivationInner, Frame, SleepOutcome, SyncWait};
-pub use attributes::{Extension, ThreadAttributes, TimerSpec};
+pub use attributes::{Extension, ThreadAttributes};
 pub use cluster::{Cluster, ClusterBuilder, ObjectImage, SpawnOptions, ThreadHandle};
 pub use config::{
     FabricChoice, InvocationMode, KernelConfig, LocatorStrategy, ObjectEventExecution,
@@ -82,8 +82,8 @@ pub use group::GroupRegistry;
 pub use ids::{ObjectId, ThreadGroupId, ThreadId};
 pub use location_cache::{LocationCache, LocationCacheConfig};
 pub use mailbox::{Admission, Mailbox, MailboxConfig};
-pub use message::{KernelMessage, ReceiptVerdict};
-pub use node::{IoHub, NodeKernel, TimerCmd};
+pub use message::{KernelMessage, ReceiptVerdict, TimerCmd};
+pub use node::{IoHub, NodeKernel};
 pub use object::{
     ClassBuilder, ClassRegistry, ObjectBehavior, ObjectConfig, ObjectDirectory, ObjectRecord,
 };

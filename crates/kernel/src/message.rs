@@ -4,6 +4,7 @@ use crate::{DeliveryStatus, KernelError, ObjectId, ThreadAttributes, ThreadId, V
 use doct_dsm::DsmMessage;
 use doct_net::{NodeId, WireMessage};
 use std::fmt;
+use std::time::Duration;
 
 /// What a `DeliverThread` probe found at the probed node, carried back to
 /// the origin in a `DeliverReceipt`.
@@ -29,6 +30,33 @@ impl ReceiptVerdict {
             ReceiptVerdict::NotHere => None,
         }
     }
+}
+
+/// A TIMER/ALARM command for the kernel loop of the thread's root node,
+/// which owns the thread's deadlines (§6.2 periodic TIMER events, one-shot
+/// ALARM events).
+#[derive(Debug, Clone)]
+pub enum TimerCmd {
+    /// Arm a timer for `thread`.
+    Register {
+        /// Target thread.
+        thread: ThreadId,
+        /// Timer id (for cancellation).
+        id: u64,
+        /// Firing period (or delay, for one-shot alarms).
+        period: Duration,
+        /// Payload delivered with each event.
+        payload: Value,
+        /// Fire ALARM once and disarm; otherwise fire TIMER every period.
+        one_shot: bool,
+    },
+    /// Disarm one timer.
+    Cancel {
+        /// Target thread.
+        thread: ThreadId,
+        /// Timer id.
+        id: u64,
+    },
 }
 
 /// Everything that flows between node kernels.
@@ -113,6 +141,8 @@ pub enum KernelMessage {
         /// Verdict passed back to the raiser.
         verdict: Value,
     },
+    /// Arm or disarm a timer at the thread's root node.
+    Timer(TimerCmd),
     /// Orderly shutdown of the node's kernel loop.
     Shutdown,
 }
@@ -135,6 +165,10 @@ impl fmt::Debug for KernelMessage {
                 write!(f, "DeliverObject({} -> {object})", event.name)
             }
             KernelMessage::SyncResume { seq, .. } => write!(f, "SyncResume(#{seq})"),
+            KernelMessage::Timer(TimerCmd::Register { id, .. }) => {
+                write!(f, "Timer(Register #{id})")
+            }
+            KernelMessage::Timer(TimerCmd::Cancel { id, .. }) => write!(f, "Timer(Cancel #{id})"),
             KernelMessage::Shutdown => f.write_str("Shutdown"),
         }
     }
@@ -155,6 +189,8 @@ impl WireMessage for KernelMessage {
             KernelMessage::DeliverReceipt { .. } => 64,
             KernelMessage::DeliverObject { event, .. } => event.wire_size(),
             KernelMessage::SyncResume { verdict, .. } => 64 + verdict.wire_size(),
+            KernelMessage::Timer(TimerCmd::Register { payload, .. }) => 64 + payload.wire_size(),
+            KernelMessage::Timer(TimerCmd::Cancel { .. }) => 32,
             KernelMessage::Shutdown => 16,
         }
     }
@@ -172,6 +208,11 @@ mod tests {
             verdict: ReceiptVerdict::Found(NodeId(2)),
         };
         assert_eq!(format!("{msg:?}"), "DeliverReceipt(Found(NodeId(2)))");
+        let cancel = KernelMessage::Timer(TimerCmd::Cancel {
+            thread: ThreadId::new(NodeId(0), 1),
+            id: 7,
+        });
+        assert_eq!(format!("{cancel:?}"), "Timer(Cancel #7)");
     }
 
     #[test]
@@ -219,5 +260,16 @@ mod tests {
             .wire_size()
                 >= 96
         );
+        let register = |payload: Value| {
+            KernelMessage::Timer(TimerCmd::Register {
+                thread: ThreadId::new(NodeId(0), 1),
+                id: 1,
+                period: Duration::from_millis(10),
+                payload,
+                one_shot: false,
+            })
+            .wire_size()
+        };
+        assert!(register(Value::from(vec![0u8; 500])) >= register(Value::Null) + 500);
     }
 }

@@ -1,8 +1,8 @@
 //! The per-node kernel: the kernel loop, invocation workers,
 //! logical-thread spawning, object-event execution (master handler
-//! thread or spawn-per-event, §4.3) and the timer-service hooks. Event
-//! routing — the delivery state machine with the three §7.1 thread
-//! locators — is in `delivery.rs`.
+//! thread or spawn-per-event, §4.3) and the TIMER/ALARM deadlines of the
+//! threads rooted at this node. Event routing — the delivery state
+//! machine with the three §7.1 thread locators — is in `delivery.rs`.
 
 use crate::activation::Activation;
 use crate::config::{KernelConfig, ObjectEventExecution};
@@ -13,7 +13,7 @@ use crate::tcb::TcbTable;
 use crate::{ClassRegistry, DefaultDispatcher};
 use crate::{
     Ctx, EventDispatcher, EventName, GroupRegistry, KernelError, KernelMessage, ObjectDirectory,
-    ObjectId, ThreadAttributes, ThreadId, Value, WireEvent,
+    ObjectId, RaiseTarget, SystemEvent, ThreadAttributes, ThreadId, TimerCmd, Value, WireEvent,
 };
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use doct_dsm::{DsmMessage, DsmNode, DsmTransport};
@@ -63,6 +63,19 @@ impl IoHub {
 /// plus the thread's attributes coming home.
 type InvokeReplySender = Sender<(Result<Value, KernelError>, ThreadAttributes)>;
 
+/// One entry of the master handler's queue; `None` tells it to stop.
+type MasterJob = Option<(ObjectId, WireEvent)>;
+
+/// An armed TIMER/ALARM of a thread rooted at this node.
+struct Deadline {
+    at: Instant,
+    thread: ThreadId,
+    id: u64,
+    period: Duration,
+    payload: Value,
+    one_shot: bool,
+}
+
 /// One in-flight remote invocation: its reply channel and the peer it is
 /// waiting on, so the death watcher can fail every call to a dead node by
 /// dropping the senders (the callers' `recv` wakes with `Disconnected`).
@@ -104,44 +117,11 @@ pub struct NodeKernel {
     next_id: AtomicU64,
     next_thread_seq: AtomicU64,
     next_object_seq: AtomicU64,
-    object_event_tx: Sender<(ObjectId, WireEvent)>,
-    object_event_rx: Mutex<Option<Receiver<(ObjectId, WireEvent)>>>,
+    object_event_tx: Sender<MasterJob>,
+    object_event_rx: Mutex<Option<Receiver<MasterJob>>>,
     shutdown: AtomicBool,
     stats: KernelStats,
     telemetry: Arc<Telemetry>,
-    timer_tx: Mutex<Option<Sender<TimerCmd>>>,
-}
-
-/// Commands for the cluster timer service (§6.2 periodic TIMER events and
-/// one-shot ALARM events).
-#[derive(Debug)]
-pub enum TimerCmd {
-    /// Register a timer for `thread`.
-    Register {
-        /// Target thread.
-        thread: ThreadId,
-        /// Timer id (for cancellation).
-        id: u64,
-        /// Firing period (or delay, for one-shot alarms).
-        period: Duration,
-        /// Payload delivered with each event.
-        payload: Value,
-        /// Event name to raise (TIMER for periodic, ALARM for one-shot).
-        event: EventName,
-        /// Fire once and unregister.
-        one_shot: bool,
-    },
-    /// Cancel one timer.
-    Cancel {
-        /// Target thread.
-        thread: ThreadId,
-        /// Timer id.
-        id: u64,
-    },
-    /// Cancel every timer of a (dead) thread.
-    CancelThread(ThreadId),
-    /// Stop the timer service.
-    Shutdown,
 }
 
 impl fmt::Debug for NodeKernel {
@@ -203,7 +183,6 @@ impl NodeKernel {
             shutdown: AtomicBool::new(false),
             stats: KernelStats::bound(telemetry.registry()),
             telemetry,
-            timer_tx: Mutex::new(None),
         })
     }
 
@@ -377,6 +356,7 @@ impl NodeKernel {
         // under sustained inbound traffic `recv_timeout` never expires,
         // and delivery retries/timeouts (and hint fallbacks) would starve.
         let mut next_sweep = Instant::now() + SWEEP_EVERY;
+        let mut timers: Vec<Deadline> = Vec::new();
         loop {
             let now = Instant::now();
             if now >= next_sweep {
@@ -387,37 +367,79 @@ impl NodeKernel {
                 self.sample_mailbox_depths();
                 next_sweep = now + SWEEP_EVERY;
             }
-            let wait = next_sweep.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(wait) {
-                Ok(env) => {
-                    if matches!(env.payload, KernelMessage::Shutdown) {
+            self.fire_due_timers(&mut timers, now);
+            let wake = timers.iter().map(|t| t.at).fold(next_sweep, Instant::min);
+            match rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
+                Ok(env) => match env.payload {
+                    KernelMessage::Shutdown => {
                         self.shutdown.store(true, Ordering::Relaxed);
                         break;
                     }
-                    self.handle(env.payload, env.src);
-                }
+                    KernelMessage::Timer(TimerCmd::Register {
+                        thread,
+                        id,
+                        period,
+                        payload,
+                        one_shot,
+                    }) => timers.push(Deadline {
+                        at: Instant::now() + period,
+                        thread,
+                        id,
+                        period,
+                        payload,
+                        one_shot,
+                    }),
+                    KernelMessage::Timer(TimerCmd::Cancel { thread, id }) => {
+                        timers.retain(|t| !(t.thread == thread && t.id == id));
+                    }
+                    msg => self.handle(msg, env.src),
+                },
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
                 Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
             }
         }
         self.drain_deliveries_as_lost();
+        // Stop the master handler once it has run every queued event.
+        let _ = self.object_event_tx.send(None);
     }
 
-    fn run_master(self: Arc<Self>, rx: Receiver<(ObjectId, WireEvent)>) {
-        loop {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok((object, event)) => self.run_object_event(object, event),
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    if self.shutdown.load(Ordering::Relaxed) {
-                        return;
-                    }
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+    /// Raise every due TIMER/ALARM at its thread. A timer whose thread has
+    /// no activation here any more (the thread ended) is dropped.
+    fn fire_due_timers(self: &Arc<Self>, timers: &mut Vec<Deadline>, now: Instant) {
+        timers.retain_mut(|t| {
+            if t.at > now {
+                return true;
             }
+            if self.activation(t.thread).is_none() {
+                return false;
+            }
+            let name = if t.one_shot {
+                SystemEvent::Alarm
+            } else {
+                SystemEvent::Timer
+            };
+            // doct-lint: allow(payload-clone-in-hot-path) re-fires share the registered buffer: a refcount bump for Bytes
+            let payload = t.payload.clone();
+            let _ = self.raise_event(
+                EventName::System(name),
+                payload,
+                RaiseTarget::Thread(t.thread),
+                false,
+                None,
+            );
+            t.at = now + t.period;
+            !t.one_shot
+        });
+    }
+
+    fn run_master(self: Arc<Self>, rx: Receiver<MasterJob>) {
+        while let Ok(Some((object, event))) = rx.recv() {
+            self.run_object_event(object, event);
         }
     }
 
-    /// Ask the loop (and master thread) to exit.
+    /// Ask the loop to exit at its next sweep; on exit it stops the
+    /// master handler thread.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
     }
@@ -473,7 +495,8 @@ impl NodeKernel {
                     act.push_sync_result(seq, verdict);
                 }
             }
-            KernelMessage::Shutdown => {}
+            // `run_loop` consumes these before dispatching here.
+            KernelMessage::Timer(_) | KernelMessage::Shutdown => {}
         }
         let _ = src;
     }
@@ -802,7 +825,7 @@ impl NodeKernel {
     pub(crate) fn enqueue_object_event(self: &Arc<Self>, object: ObjectId, event: WireEvent) {
         match self.config.object_events {
             ObjectEventExecution::Master => {
-                let _ = self.object_event_tx.send((object, event));
+                let _ = self.object_event_tx.send(Some((object, event)));
             }
             ObjectEventExecution::Spawn => {
                 let kernel = Arc::clone(self);
@@ -846,55 +869,6 @@ impl NodeKernel {
         }
         self.tcbs.leave(surrogate_id);
         self.checkout(surrogate_id);
-    }
-}
-
-impl NodeKernel {
-    /// Wire the cluster timer service's command channel into this node.
-    pub fn set_timer_channel(&self, tx: Sender<TimerCmd>) {
-        *self.timer_tx.lock() = Some(tx);
-    }
-
-    /// Register a periodic TIMER for `thread` (no-op without a timer
-    /// service, e.g. in single-node unit tests).
-    pub fn register_timer(&self, thread: ThreadId, id: u64, period: Duration, payload: Value) {
-        // Clone the sender out: an `if let` scrutinee keeps the guard
-        // alive for the whole block, which would hold `timer_tx` across
-        // the channel send.
-        let tx = self.timer_tx.lock().clone();
-        if let Some(tx) = tx {
-            let _ = tx.send(TimerCmd::Register {
-                thread,
-                id,
-                period,
-                payload,
-                event: EventName::System(crate::SystemEvent::Timer),
-                one_shot: false,
-            });
-        }
-    }
-
-    /// Register a one-shot ALARM for `thread`, firing after `delay`.
-    pub fn register_alarm(&self, thread: ThreadId, id: u64, delay: Duration, payload: Value) {
-        let tx = self.timer_tx.lock().clone();
-        if let Some(tx) = tx {
-            let _ = tx.send(TimerCmd::Register {
-                thread,
-                id,
-                period: delay,
-                payload,
-                event: EventName::System(crate::SystemEvent::Alarm),
-                one_shot: true,
-            });
-        }
-    }
-
-    /// Cancel one timer of `thread`.
-    pub fn cancel_timer(&self, thread: ThreadId, id: u64) {
-        let tx = self.timer_tx.lock().clone();
-        if let Some(tx) = tx {
-            let _ = tx.send(TimerCmd::Cancel { thread, id });
-        }
     }
 }
 

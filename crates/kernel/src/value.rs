@@ -7,8 +7,8 @@
 //!
 //! Byte payloads are [`Bytes`] — shared immutable buffers whose clones
 //! are refcount bumps. A raised event's payload fans out to N group
-//! members, the timer service, and the retransmit queue without ever
-//! copying payload bytes (DESIGN.md §3g); [`Value::decode_shared`]
+//! members, a root node's timer list, and the retransmit queue without
+//! ever copying payload bytes (DESIGN.md §3g); [`Value::decode_shared`]
 //! extends the zero-copy property through decoding.
 
 use doct_net::Bytes;

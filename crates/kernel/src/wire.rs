@@ -10,11 +10,11 @@
 //! [`CodecError::Unsupported`] at encode time (a typed error the fabric
 //! counts in `net.codec_errors`; never a panic). The event-delivery
 //! plane — `DeliverThread`, `DeliverReceipt`, `DeliverObject`,
-//! `SyncResume`, `Shutdown` — is fully serializable, which is exactly
-//! the surface the paper's event facility needs across machines.
+//! `SyncResume`, `Timer`, `Shutdown` — is fully serializable, which is
+//! exactly the surface the paper's event facility needs across machines.
 //!
 //! Attribute records serialize their *portable* slice (identity, group,
-//! I/O channel, consistency label, timers, key/value memory). The typed
+//! I/O channel, consistency label, key/value memory). The typed
 //! extension bag is process-local by construction (trait objects) and is
 //! dropped on the wire; the receiving facility rebuilds registries from
 //! its own defaults, matching §6.1's surrogate-thread semantics.
@@ -22,10 +22,9 @@
 //! Every decode path returns a typed [`CodecError`] on malformed input —
 //! a hostile or corrupted datagram must never panic the local kernel.
 
-use crate::attributes::TimerSpec;
 use crate::{
     EventName, KernelMessage, ObjectId, ReceiptVerdict, SystemEvent, ThreadAttributes,
-    ThreadGroupId, ThreadId, Value, WireEvent,
+    ThreadGroupId, ThreadId, TimerCmd, Value, WireEvent,
 };
 use doct_net::{Bytes, CodecError, NodeId, WireCodec};
 use std::time::Duration;
@@ -39,6 +38,8 @@ const TAG_DELIVER_RECEIPT: u8 = 1;
 const TAG_DELIVER_OBJECT: u8 = 2;
 const TAG_SYNC_RESUME: u8 = 3;
 const TAG_SHUTDOWN: u8 = 4;
+const TAG_TIMER_REGISTER: u8 = 5;
+const TAG_TIMER_CANCEL: u8 = 6;
 
 // ---------------------------------------------------------------------
 // Write helpers (all big-endian, matching the frame codec).
@@ -126,16 +127,6 @@ fn put_attrs(out: &mut Vec<u8>, attrs: &ThreadAttributes) -> Result<(), CodecErr
     put_opt(out, attrs.consistency_label.as_deref(), |out, s| {
         put_str(out, s)
     })?;
-    let timers = u32::try_from(attrs.timers.len())
-        .map_err(|_| CodecError::Unsupported("too many timers"))?;
-    put_u32(out, timers);
-    for t in &attrs.timers {
-        let ns = u64::try_from(t.period.as_nanos())
-            .map_err(|_| CodecError::Unsupported("timer period overflows u64 ns"))?;
-        put_u64(out, ns);
-        put_value(out, &t.payload)?;
-        put_u64(out, t.id);
-    }
     let values = u32::try_from(attrs.values.len())
         .map_err(|_| CodecError::Unsupported("too many values"))?;
     put_u32(out, values);
@@ -297,17 +288,6 @@ impl<'a> Rd<'a> {
         attrs.group = self.opt(|rd| Ok(ThreadGroupId(rd.u64()?)))?;
         attrs.io_channel = self.opt(Rd::str)?;
         attrs.consistency_label = self.opt(Rd::str)?;
-        let timers = self.u32()? as usize;
-        for _ in 0..timers {
-            let period = Duration::from_nanos(self.u64()?);
-            let payload = self.value()?;
-            let id = self.u64()?;
-            attrs.timers.push(TimerSpec {
-                period,
-                payload,
-                id,
-            });
-        }
         let values = self.u32()? as usize;
         for _ in 0..values {
             let k = self.str()?;
@@ -397,6 +377,29 @@ impl WireCodec for KernelMessage {
                 put_thread(out, *raiser);
                 put_value(out, verdict)
             }
+            KernelMessage::Timer(TimerCmd::Register {
+                thread,
+                id,
+                period,
+                payload,
+                one_shot,
+            }) => {
+                out.push(TAG_TIMER_REGISTER);
+                put_thread(out, *thread);
+                put_u64(out, *id);
+                let ns = u64::try_from(period.as_nanos())
+                    .map_err(|_| CodecError::Unsupported("timer period overflows u64 ns"))?;
+                put_u64(out, ns);
+                put_value(out, payload)?;
+                put_bool(out, *one_shot);
+                Ok(())
+            }
+            KernelMessage::Timer(TimerCmd::Cancel { thread, id }) => {
+                out.push(TAG_TIMER_CANCEL);
+                put_thread(out, *thread);
+                put_u64(out, *id);
+                Ok(())
+            }
             KernelMessage::Shutdown => {
                 out.push(TAG_SHUTDOWN);
                 Ok(())
@@ -438,6 +441,17 @@ impl WireCodec for KernelMessage {
                 raiser: rd.thread()?,
                 verdict: rd.value()?,
             },
+            TAG_TIMER_REGISTER => KernelMessage::Timer(TimerCmd::Register {
+                thread: rd.thread()?,
+                id: rd.u64()?,
+                period: Duration::from_nanos(rd.u64()?),
+                payload: rd.value()?,
+                one_shot: rd.bool()?,
+            }),
+            TAG_TIMER_CANCEL => KernelMessage::Timer(TimerCmd::Cancel {
+                thread: rd.thread()?,
+                id: rd.u64()?,
+            }),
             TAG_SHUTDOWN => KernelMessage::Shutdown,
             tag => return Err(CodecError::BadKind(tag)),
         };
@@ -465,11 +479,6 @@ mod tests {
         attrs.group = Some(ThreadGroupId::new(NodeId(2), 1));
         attrs.io_channel = Some("tty0".into());
         attrs.consistency_label = Some("serial".into());
-        attrs.timers.push(TimerSpec {
-            period: Duration::from_millis(250),
-            payload: Value::from("tick"),
-            id: 42,
-        });
         attrs.values.insert("budget".into(), Value::Int(9));
         WireEvent {
             name: EventName::user("COMMIT"),
@@ -482,6 +491,16 @@ mod tests {
             attrs: Some(attrs),
             deadline_ns: Some(777),
         }
+    }
+
+    fn sample_register() -> KernelMessage {
+        KernelMessage::Timer(TimerCmd::Register {
+            thread: ThreadId::new(NodeId(2), 7),
+            id: 42,
+            period: Duration::from_millis(250),
+            payload: Value::from("tick"),
+            one_shot: true,
+        })
     }
 
     #[test]
@@ -524,9 +543,6 @@ mod tests {
         assert_eq!(attrs.group, Some(ThreadGroupId::new(NodeId(2), 1)));
         assert_eq!(attrs.io_channel.as_deref(), Some("tty0"));
         assert_eq!(attrs.consistency_label.as_deref(), Some("serial"));
-        assert_eq!(attrs.timers.len(), 1);
-        assert_eq!(attrs.timers[0].period, Duration::from_millis(250));
-        assert_eq!(attrs.timers[0].id, 42);
         assert_eq!(attrs.values.get("budget"), Some(&Value::Int(9)));
     }
 
@@ -592,6 +608,34 @@ mod tests {
             (seq, raiser, verdict),
             (8, ThreadId::new(NodeId(0), 2), Value::from("resume"))
         );
+        let KernelMessage::Timer(TimerCmd::Register {
+            thread,
+            id,
+            period,
+            payload,
+            one_shot,
+        }) = roundtrip(&sample_register())
+        else {
+            panic!("wrong variant");
+        };
+        assert_eq!(
+            (thread, id, period, payload, one_shot),
+            (
+                ThreadId::new(NodeId(2), 7),
+                42,
+                Duration::from_millis(250),
+                Value::from("tick"),
+                true
+            )
+        );
+        let cancel = KernelMessage::Timer(TimerCmd::Cancel {
+            thread: ThreadId::new(NodeId(2), 7),
+            id: 42,
+        });
+        let KernelMessage::Timer(TimerCmd::Cancel { thread, id }) = roundtrip(&cancel) else {
+            panic!("wrong variant");
+        };
+        assert_eq!((thread, id), (ThreadId::new(NodeId(2), 7), 42));
         assert!(matches!(
             roundtrip(&KernelMessage::Shutdown),
             KernelMessage::Shutdown
@@ -655,6 +699,16 @@ mod tests {
             assert!(
                 KernelMessage::decode_payload(&Bytes::from_vec(out[..cut].to_vec())).is_err(),
                 "cut at {cut} must be a typed error"
+            );
+        }
+        let mut register = Vec::new();
+        sample_register()
+            .encode_payload(&mut register)
+            .expect("encode");
+        for cut in 0..register.len() {
+            assert!(
+                KernelMessage::decode_payload(&Bytes::from_vec(register[..cut].to_vec())).is_err(),
+                "Register cut at {cut} must be a typed error"
             );
         }
         // Pseudo-random garbage (deterministic LCG, no wall clock).

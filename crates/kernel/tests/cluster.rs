@@ -520,6 +520,45 @@ fn timers_chase_a_thread() {
 }
 
 #[test]
+fn timer_cancelled_at_a_remote_tip_stops_firing() {
+    let cluster = Cluster::new(2);
+    cluster.register_class(
+        "canceller",
+        ClassBuilder::new("canceller")
+            .entry("cancel", |ctx, args| {
+                ctx.cancel_timer(args.as_int().unwrap() as u64);
+                Ok(Value::Int(ctx.node_id().0 as i64))
+            })
+            .build(),
+    );
+    let far = cluster
+        .create_object(ObjectConfig::new("canceller", NodeId(1)))
+        .unwrap();
+    let kernels = [cluster.kernel(0).clone(), cluster.kernel(1).clone()];
+    let timer_events =
+        move || -> u64 { kernels.iter().map(|k| k.stats().thread_events.get()).sum() };
+    // The thread's root is node 0; it cancels from node 1, so the Cancel
+    // crosses the fabric back to the root.
+    let handle = cluster
+        .spawn_fn(0, move |ctx| {
+            let id = ctx.add_timer(Duration::from_millis(10), "tick");
+            ctx.sleep(Duration::from_millis(50))?;
+            assert_eq!(
+                ctx.invoke(far, "cancel", Value::Int(id as i64))?,
+                Value::Int(1)
+            );
+            ctx.sleep(Duration::from_millis(30))?;
+            let before = timer_events();
+            assert!(before >= 2, "the timer fired {before} times before cancel");
+            ctx.sleep(Duration::from_millis(100))?;
+            assert_eq!(timer_events(), before, "no TIMER after a remote cancel");
+            Ok(Value::Null)
+        })
+        .unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
 fn raise_to_unknown_object_reports_dead() {
     let cluster = Cluster::new(1);
     let bogus = doct_kernel::ObjectId::new(NodeId(0), 42);

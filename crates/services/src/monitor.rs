@@ -4,8 +4,8 @@
 //! about the state of the thread (such as the current object the thread
 //! is executing in, current program counter value, etc.) to a central
 //! server." Two facilities combine: a periodic TIMER delivered to the
-//! thread wherever it is (thread attributes re-create the registration on
-//! every node, here via the cluster timer service + thread location), and
+//! thread wherever it is (the thread's root node keeps the deadline and
+//! raises each TIMER at the thread, which the locator finds), and
 //! a handler in the thread's per-thread memory that runs in the current
 //! object's context, samples the suspended thread's state, restarts it,
 //! and reports to the monitor server.
