@@ -42,7 +42,6 @@ use doct_kernel::{Insert, LocationCache, LocationCacheConfig, ShardedTable, Stea
 use doct_net::NodeId;
 use doct_telemetry::{Counter, Registry};
 use std::collections::VecDeque;
-use std::time::Duration;
 
 /// Outcome of one model's exhaustive exploration.
 #[derive(Debug)]
@@ -111,7 +110,6 @@ fn fresh_cache() -> LocationCache {
         LocationCacheConfig {
             enabled: true,
             capacity: 64,
-            hint_timeout: Duration::from_millis(100),
         },
         &Registry::new(),
     )

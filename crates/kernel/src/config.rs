@@ -185,7 +185,6 @@ mod tests {
         assert!(c.delivery_retries > 0);
         assert!(c.location_cache.enabled, "hint cache is on by default");
         assert!(c.location_cache.capacity > 0);
-        assert!(c.location_cache.hint_timeout < c.delivery_timeout);
         assert!(c.mailbox.timer_capacity > 0 && c.mailbox.user_capacity > 0);
         assert!(
             c.mailbox.near_deadline < c.mailbox.timer_deadline,

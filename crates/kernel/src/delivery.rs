@@ -144,11 +144,11 @@ pub(crate) struct DeliveryTracker {
     /// Set once the final anchor attempt has been sent.
     anchored: bool,
     deadline: Instant,
-    /// An outstanding unicast hint probe: the hinted node, the cache
+    /// An outstanding unicast hint probe: the hinted node and the cache
     /// generation that was probed (so only that entry is invalidated on
-    /// disproof), and the deadline after which the delivery stops waiting
-    /// for the hint and falls back to the full locator wave.
-    hint: Option<(NodeId, u64, Instant)>,
+    /// disproof). It is waited on until its receipt, a detector `Dead`
+    /// verdict on the node, or the delivery deadline.
+    hint: Option<(NodeId, u64)>,
     /// The hint fast path has been tried for this delivery; retries go
     /// straight to the locator wave.
     hint_spent: bool,
@@ -548,9 +548,10 @@ impl NodeKernel {
 
     /// Try the location-cache fast path for a delivery: if a (usable)
     /// hint exists, send one unicast probe to the hinted node and record
-    /// the hint on the tracker so a "not here" receipt or a sweep-side
-    /// timeout falls back to the full wave. Returns `true` when the probe
-    /// went out (or the delivery was settled inline).
+    /// the hint on the tracker so a "not here" receipt or a `Dead`
+    /// verdict on the hinted node falls back to the full wave. Returns
+    /// `true` when the probe went out (or the delivery was settled
+    /// inline).
     fn send_hint_probe(
         self: &Arc<Self>,
         delivery_id: u64,
@@ -567,10 +568,7 @@ impl NodeKernel {
         // A self-hint is worthless (the local fast path already failed
         // before this delivery was registered), and a hint the failure
         // detector has disproved is never waited on: drop it and wave.
-        if node == me
-            || (self.net().reliability_enabled()
-                && self.net().peer_state(me, node) == Some(PeerState::Dead))
-        {
+        if node == me || self.net().peer_state(me, node) == Some(PeerState::Dead) {
             cache.invalidate(target);
             return false;
         }
@@ -585,11 +583,7 @@ impl NodeKernel {
         }
         let armed = self.deliveries.with_mut(delivery_id, |t| {
             t.hint_spent = true;
-            t.hint = Some((
-                node,
-                generation,
-                Instant::now() + cache.config().hint_timeout,
-            ));
+            t.hint = Some((node, generation));
             t.outstanding = 1;
         });
         if armed.is_none() {
@@ -726,7 +720,7 @@ impl NodeKernel {
             let Some(t) = shard.entries.get_mut(&delivery_id) else {
                 return;
             };
-            if let Some((_, generation, _)) = t.hint.take() {
+            if let Some((_, generation)) = t.hint.take() {
                 // The hinted node answered "not here": the cache entry is
                 // stale. Invalidate it and fall back to the full locator
                 // wave without consuming one of the wave's retry attempts.
@@ -793,13 +787,11 @@ impl NodeKernel {
     pub(crate) fn sweep(self: &Arc<Self>) {
         let me = self.node_id();
         let now = Instant::now();
-        let detector_on = self.net().reliability_enabled();
-        let peer_dead = |peer: NodeId| {
-            detector_on && peer != me && self.net().peer_state(me, peer) == Some(PeerState::Dead)
-        };
-        // Deliveries whose hint probe expired; probed again (as a full
-        // wave) after the shard locks are released — send_probe_wave
-        // re-locks them.
+        let peer_dead =
+            |peer: NodeId| peer != me && self.net().peer_state(me, peer) == Some(PeerState::Dead);
+        // Deliveries whose hinted node was declared dead; probed again (as
+        // a full wave) after the shard locks are released —
+        // send_probe_wave re-locks them.
         let mut hint_fallbacks = Vec::new();
         // Trackers the sweep takes out of the table; resolved only after
         // the shard locks are released (collect-then-send).
@@ -820,24 +812,18 @@ impl NodeKernel {
                     expired.push((*id, DeliveryStatus::TargetDead));
                     continue;
                 }
-                // Give up on an unanswered hint probe after one retry
-                // slice — or immediately once the detector declares the
-                // hinted node dead — and fall back to the locator wave.
-                // A receipt that still arrives afterwards at worst
-                // spuriously decrements the wave's outstanding count,
-                // which only hastens a retry/anchor; the per-thread seen
-                // ring keeps delivery exactly-once either way.
-                if let Some((node, generation, hint_deadline)) = t.hint {
-                    let node_dead = peer_dead(node);
-                    if node_dead || now >= hint_deadline {
+                // A hint probe is waited on until its receipt — the
+                // reliable transport retransmits both ways — unless the
+                // detector declares the hinted node dead: then drop the
+                // hint and fall back to the locator wave. A receipt that
+                // still arrives afterwards decrements the wave's
+                // outstanding count, which only hastens a retry/anchor.
+                if let Some((node, _)) = t.hint {
+                    if peer_dead(node) {
                         t.hint = None;
                         t.outstanding = 0;
                         if let Some(cache) = self.location_cache() {
-                            if node_dead {
-                                cache.invalidate(t.target);
-                            } else {
-                                cache.invalidate_stale(t.target, generation);
-                            }
+                            cache.invalidate(t.target);
                         }
                         hint_fallbacks.push(*id);
                     }

@@ -5,10 +5,13 @@
 //!
 //! The cache is purely a *hint*: a wrong entry costs one misdirected
 //! probe (answered "not here", which invalidates the entry and falls back
-//! to the configured [`crate::LocatorStrategy`]); it can never cause a
-//! missed or duplicated delivery because the existing probe/receipt
-//! machinery and the per-thread seen ring already tolerate duplicate and
-//! misdirected probes.
+//! to the configured [`crate::LocatorStrategy`]). A hinted probe is sent
+//! once and never re-sent on a timer: it ends with its receipt, with a
+//! failure-detector `Dead` verdict on the hinted node, or with the
+//! delivery timeout. The wave re-sends the event only after a "not here"
+//! (the hinted node did not admit it) or a `Dead` verdict, so a slow
+//! receipt can never deliver the event a second time, however long ago
+//! the target's seen ring last saw it.
 //!
 //! Entries carry a *generation* stamp so that a disproof ("not here")
 //! only removes the entry it actually probed: a concurrent delivery that
@@ -20,7 +23,6 @@ use doct_telemetry::{Counter, Registry};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Number of independently locked shards. Raises on different threads hash
 /// to different shards, so the read-mostly hot path rarely contends.
@@ -34,9 +36,6 @@ pub struct LocationCacheConfig {
     pub enabled: bool,
     /// Maximum cached entries across the whole node (LRU beyond this).
     pub capacity: usize,
-    /// How long a unicast hint probe may stay unanswered before the
-    /// delivery gives up on it and falls back to the full locator wave.
-    pub hint_timeout: Duration,
 }
 
 impl Default for LocationCacheConfig {
@@ -44,7 +43,6 @@ impl Default for LocationCacheConfig {
         LocationCacheConfig {
             enabled: true,
             capacity: 4096,
-            hint_timeout: Duration::from_millis(100),
         }
     }
 }
@@ -78,13 +76,11 @@ pub struct LocationCache {
     per_shard_cap: usize,
     /// Shared LRU clock and generation source.
     clock: AtomicU64,
-    config: LocationCacheConfig,
     /// Unicast fast paths taken (`locator.cache_hits`).
     pub hits: Counter,
     /// Lookups that found no entry (`locator.cache_misses`).
     pub misses: Counter,
-    /// Hints disproved by a "not here" receipt or a hint timeout
-    /// (`locator.cache_stale`).
+    /// Hints disproved by a "not here" receipt (`locator.cache_stale`).
     pub stale: Counter,
     /// Entries dropped by LRU pressure, explicit invalidation (thread
     /// termination), or a detector-dead hinted node
@@ -100,17 +96,11 @@ impl LocationCache {
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             per_shard_cap,
             clock: AtomicU64::new(1),
-            config,
             hits: registry.counter("locator.cache_hits"),
             misses: registry.counter("locator.cache_misses"),
             stale: registry.counter("locator.cache_stale"),
             evictions: registry.counter("locator.cache_evictions"),
         }
-    }
-
-    /// Configuration in force.
-    pub fn config(&self) -> LocationCacheConfig {
-        self.config
     }
 
     fn shard(&self, thread: ThreadId) -> &RwLock<HashMap<ThreadId, Entry>> {
@@ -182,7 +172,7 @@ impl LocationCache {
         );
     }
 
-    /// A hint probe for `thread` came back "not here" (or timed out):
+    /// A hint probe for `thread` came back "not here":
     /// drop the entry — but only if it is still the `generation` that was
     /// probed, so a fresher concurrently-recorded location survives.
     /// Counts `locator.cache_stale`.
@@ -227,7 +217,6 @@ mod tests {
             LocationCacheConfig {
                 enabled: true,
                 capacity,
-                hint_timeout: Duration::from_millis(100),
             },
             &Registry::new(),
         )

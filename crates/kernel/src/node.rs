@@ -354,7 +354,7 @@ impl NodeKernel {
         const SWEEP_EVERY: Duration = Duration::from_millis(50);
         // Sweep on a deadline, not only when the mailbox goes quiet:
         // under sustained inbound traffic `recv_timeout` never expires,
-        // and delivery retries/timeouts (and hint fallbacks) would starve.
+        // and delivery retries/timeouts would starve.
         let mut next_sweep = Instant::now() + SWEEP_EVERY;
         let mut timers: Vec<Deadline> = Vec::new();
         loop {
@@ -664,39 +664,29 @@ impl NodeKernel {
                 "invoke {object}::{entry}: link to {home} down"
             )));
         }
-        // With the reliability layer on, the failure detector resolves
-        // this wait early: the death watcher (registered in `start`)
-        // drops our reply sender the moment it declares `home` dead, so
-        // the recv below wakes with `Disconnected` within one heartbeat
-        // round of the verdict — no poll slices, no latency quantization.
-        // The call was registered *before* this check, so a death verdict
-        // landing between the two is seen by exactly one side.
-        if self.net.reliability_enabled() {
-            if self.net.peer_state(self.node, home) == Some(doct_net::PeerState::Dead) {
-                self.pending_calls.lock().remove(&call_id);
-                return Err(KernelError::NodeUnreachable(home));
-            }
-            return match rx.recv_timeout(self.config.invoke_timeout) {
-                Ok(pair) => Ok(pair),
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    self.pending_calls.lock().remove(&call_id);
-                    Err(KernelError::Timeout(format!(
-                        "invoke {object}::{entry} on {home}"
-                    )))
-                }
-                // Only the death watcher drops a registered sender.
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    Err(KernelError::NodeUnreachable(home))
-                }
-            };
+        // When a failure detector runs, it resolves this wait early: the
+        // death watcher (registered in `start`) drops our reply sender the
+        // moment it declares `home` dead, so the recv below wakes with
+        // `Disconnected` within one heartbeat round of the verdict — no
+        // poll slices, no latency quantization. The call was registered
+        // *before* this check, so a death verdict landing between the two
+        // is seen by exactly one side. Without a detector `peer_state` is
+        // `None` and no sender is ever dropped.
+        if self.net.peer_state(self.node, home) == Some(doct_net::PeerState::Dead) {
+            self.pending_calls.lock().remove(&call_id);
+            return Err(KernelError::NodeUnreachable(home));
         }
         match rx.recv_timeout(self.config.invoke_timeout) {
             Ok(pair) => Ok(pair),
-            Err(_) => {
+            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
                 self.pending_calls.lock().remove(&call_id);
                 Err(KernelError::Timeout(format!(
                     "invoke {object}::{entry} on {home}"
                 )))
+            }
+            // Only the death watcher drops a registered sender.
+            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+                Err(KernelError::NodeUnreachable(home))
             }
         }
     }

@@ -1,15 +1,19 @@
 //! Integration tests for the thread-location hint cache: the unicast
 //! fast path must collapse locator waves to single probes for stationary
 //! targets, stay exactly-once when the target migrated after the hint was
-//! recorded (stale unicast → invalidate → wave fallback), and never wait
-//! on a hint pointing at a node the failure detector has declared dead.
+//! recorded (stale unicast → invalidate → wave fallback), stay
+//! exactly-once when the hinted probe's receipt is held long after the
+//! target's seen ring turned over (a hint is never re-sent on a timer),
+//! and never wait on a hint pointing at a node the failure detector has
+//! declared dead.
 
 use doct::prelude::*;
 use doct_events::{AttachSpec, EventFacility, HandlerDecision};
 use doct_kernel::ClusterBuilder;
 use doct_net::{FailureConfig, ReliabilityConfig};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn counter(cluster: &Cluster, name: &str) -> u64 {
@@ -98,7 +102,7 @@ fn stationary_target_uses_the_unicast_fast_path() {
             handle.thread(),
         )
         .wait();
-    assert_eq!(summary.delivered, 1);
+    assert_eq!(summary.delivered, 1, "{summary:?}");
     assert_eq!(summary.nodes, vec![NodeId(1)]);
     assert_eq!(
         cluster
@@ -300,4 +304,111 @@ fn dead_node_hint_is_purged_not_waited_on() {
     );
     assert_ledger_balances(&cluster);
     cluster.net().heal();
+}
+
+/// The receipt of a hinted probe is held (the reliable layer retransmits
+/// it until the link heals) while 600 local raises turn the target's
+/// 256-entry seen ring over. The held event was admitted on the first
+/// probe, so nothing may send it again: its handler runs once, the hint
+/// is never counted stale, and the held raise resolves as delivered once
+/// the receipt gets through.
+#[test]
+fn held_hint_receipt_is_delivered_once() {
+    const FLOOD: usize = 600;
+    // 20 retries (~4 s of backoff) keep the held receipt alive however
+    // long the flood takes on a loaded host; the default 8 give up after
+    // about 1 s. The detector stays far behind both.
+    let cluster = ClusterBuilder::new(2)
+        .reliable_with(
+            ReliabilityConfig {
+                max_retries: 20,
+                ..ReliabilityConfig::default()
+            },
+            FailureConfig {
+                suspect_after: Duration::from_secs(3),
+                dead_after: Duration::from_secs(6),
+            },
+        )
+        .build();
+    let facility = EventFacility::install(&cluster);
+    facility.register_event("PING");
+
+    let runs: Arc<Mutex<HashMap<u64, u32>>> = Arc::default();
+    let r2 = Arc::clone(&runs);
+    let handle = cluster
+        .spawn_fn(1, move |ctx| {
+            ctx.attach_handler(
+                "PING",
+                AttachSpec::proc("count", move |_c, b| {
+                    *r2.lock().unwrap().entry(b.seq).or_default() += 1;
+                    HandlerDecision::Resume(Value::Null)
+                }),
+            );
+            ctx.sleep(Duration::from_secs(20))?;
+            Ok(Value::Null)
+        })
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    let ping = || EventName::user("PING");
+
+    // Warm node 0's hint: its next raise is one hinted unicast to node 1.
+    let summary = cluster
+        .raise_from(0, ping(), Value::Null, handle.thread())
+        .wait();
+    assert_eq!(summary.delivered, 1);
+    let cache = cluster.kernel(0).location_cache().unwrap();
+    assert_eq!(cache.peek(handle.thread()), Some(NodeId(1)));
+
+    // Hold every receipt from node 1 to node 0, then raise once: the
+    // probe arrives and is admitted, its receipt is retransmitted.
+    cluster
+        .net()
+        .set_link_one_way(NodeId(1), NodeId(0), false)
+        .unwrap();
+    let stale_before = counter(&cluster, "locator.cache_stale");
+    let held_at = Instant::now();
+    let held = cluster.raise_from(0, ping(), Value::Null, handle.thread());
+
+    // Turn the target's seen ring over with local raises.
+    for _ in 0..FLOOD {
+        let summary = cluster
+            .raise_from(1, ping(), Value::Null, handle.thread())
+            .wait();
+        assert_eq!(summary.delivered, 1);
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while runs.lock().unwrap().len() < FLOOD + 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(runs.lock().unwrap().len(), FLOOD + 2, "every seq handled");
+
+    // Keep the receipt held well past any sweep slice, then let it in.
+    let hold = Duration::from_millis(300);
+    if let Some(rest) = hold.checked_sub(held_at.elapsed()) {
+        std::thread::sleep(rest);
+    }
+    cluster.net().heal();
+
+    let summary = held.wait();
+    assert_eq!(summary.delivered, 1, "held raise: {summary:?}");
+    // Let any second copy reach the handler before counting.
+    std::thread::sleep(Duration::from_millis(100));
+    let twice: Vec<_> = runs
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|(_, &n)| n != 1)
+        .map(|(&seq, &n)| (seq, n))
+        .collect();
+    assert!(twice.is_empty(), "seqs not run exactly once: {twice:?}");
+    assert_eq!(
+        counter(&cluster, "locator.cache_stale"),
+        stale_before,
+        "the hint was never disproved"
+    );
+    let _ = cluster
+        .raise_from(0, SystemEvent::Quit, Value::Null, handle.thread())
+        .wait();
+    let _ = handle.join_timeout(Duration::from_secs(5));
+    assert_ledger_balances(&cluster);
 }
